@@ -565,9 +565,9 @@ func copyPositions(w []int) []int {
 // selectionLocked scores the polynomial for protecting messages of the
 // given length, sharing one shrinking-limit boundary scan between the HD
 // determination and the coverage exploration (sem held, a.ctx set).
-// It reproduces the deprecated SelectPolynomial's answers exactly while
-// doing strictly less work: the old path paid a separate existence query
-// per weight before re-running every boundary search.
+// One scan answers both questions; a separate existence query per weight
+// followed by a re-run of every boundary search would give the same
+// answer with strictly more work.
 func (a *Analyzer) selectionLocked(dataLen, horizon, maxHD int) (Selection, error) {
 	limit := horizon
 	for w := 2; w <= maxHD+1; w++ {

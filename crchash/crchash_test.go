@@ -71,7 +71,7 @@ func TestChecksumConcurrent(t *testing.T) {
 
 func TestNewEngineKinds(t *testing.T) {
 	data := []byte("123456789")
-	for _, k := range []crchash.Kind{crchash.Auto, crchash.Bitwise, crchash.Table, crchash.Slicing8} {
+	for _, k := range []crchash.Kind{crchash.Auto, crchash.Bitwise, crchash.Table, crchash.Slicing16, crchash.Hardware} {
 		e, err := crchash.NewEngine(crchash.CRC32C, k)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -80,15 +80,15 @@ func TestNewEngineKinds(t *testing.T) {
 			t.Errorf("%v: %#x, want %#x", k, got, crchash.CRC32C.Check)
 		}
 	}
-	// CCITT-FALSE is non-reflected 16-bit: slicing-by-8 must refuse it.
+	// CCITT-FALSE is non-reflected 16-bit: slicing-by-16 must refuse it.
 	p, err := crchash.Lookup("CRC-16/CCITT-FALSE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crchash.NewEngine(p, crchash.Slicing8); err == nil {
-		t.Error("slicing-by-8 should reject a non-reflected 16-bit algorithm")
+	if _, err := crchash.NewEngine(p, crchash.Slicing16); err == nil {
+		t.Error("slicing-by-16 should reject a non-reflected 16-bit algorithm")
 	}
-	if crchash.Slicing8.String() != "slicing8" || crchash.Kind(99).String() == "" {
+	if crchash.Slicing16.String() != "slicing16" || crchash.Kind(99).String() == "" {
 		t.Error("Kind.String misbehaves")
 	}
 }

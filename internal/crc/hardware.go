@@ -8,14 +8,11 @@ import (
 // Hardware delegates to the standard library's hash/crc32, which uses
 // CLMUL folding for the IEEE polynomial and the SSE4.2 / ARMv8 CRC32C
 // instructions for Castagnoli where the CPU has them. For any other
-// reflected 32-bit generator the delegate is hash/crc32's portable
-// byte-table loop, so construction succeeds but nothing is offloaded —
-// Accelerated reports which case an engine landed in, and the measured
-// Auto selection in crchash only picks Hardware when it actually wins.
+// generator hash/crc32 runs a portable byte-table loop slower than
+// Slicing16, so the engine admits only those two generators.
 type Hardware struct {
 	params Params
 	tab    *crc32.Table
-	accel  bool
 }
 
 var _ Engine = (*Hardware)(nil)
@@ -29,18 +26,11 @@ func NewHardware(p Params) (*Hardware, error) {
 		return nil, fmt.Errorf("crc: hardware engine requires reflected input and output")
 	}
 	rev := uint32(p.Poly.Reversed())
-	return &Hardware{
-		params: p,
-		tab:    crc32.MakeTable(rev),
-		accel:  rev == crc32.IEEE || rev == crc32.Castagnoli,
-	}, nil
+	if rev != crc32.IEEE && rev != crc32.Castagnoli {
+		return nil, fmt.Errorf("crc: hardware engine requires the IEEE or Castagnoli generator, got %v", p.Poly)
+	}
+	return &Hardware{params: p, tab: crc32.MakeTable(rev)}, nil
 }
-
-// Accelerated reports whether hash/crc32 has an architecture fast path
-// for this generator (IEEE and Castagnoli); whether the running CPU
-// actually provides the instructions is the stdlib's runtime decision,
-// which the crchash startup micro-benchmark observes empirically.
-func (e *Hardware) Accelerated() bool { return e.accel }
 
 // Params implements Engine.
 func (e *Hardware) Params() Params { return e.params }

@@ -78,6 +78,14 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c.(*Counter)
 }
 
+// Each calls fn with every series' label values and count, in label
+// order.
+func (v *CounterVec) Each(fn func(values []string, n int64)) {
+	for _, s := range sortedSeries(&v.m) {
+		fn(s.values, s.v.(*Counter).Value())
+	}
+}
+
 // Histogram is a fixed-boundary histogram with atomic observation: one
 // binary search over the (typically log-spaced) upper bounds, two atomic
 // adds and a CAS loop for the float sum. Values above the last boundary
@@ -151,6 +159,10 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // snapshot returns cumulative bucket counts aligned with bounds, plus
 // count and sum. Concurrent observations may straddle the loads — the
 // snapshot is a consistent-enough view for scraping, never torn memory.
+// Observe adds to its bucket before the count, so a scrape between the
+// two would read a count below the last bucket; the count is raised to
+// it, because an exposition whose +Inf bucket is below a finite one is
+// rejected whole.
 func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 	cum = make([]int64, len(h.bounds))
 	var acc int64
@@ -158,7 +170,7 @@ func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 		acc += h.buckets[i].Load()
 		cum[i] = acc
 	}
-	return cum, h.count.Load(), h.Sum()
+	return cum, max(h.count.Load(), acc), h.Sum()
 }
 
 // HistogramVec is a histogram family partitioned by label values.

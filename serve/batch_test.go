@@ -221,7 +221,7 @@ func TestChecksumStreamBadAlgorithm(t *testing.T) {
 // lands in the stream endpoint's error counter instead of hanging until
 // the body would have completed.
 func TestChecksumStreamCancelMidBody(t *testing.T) {
-	srv, ts := startServer(t, Config{})
+	_, ts := startServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -261,7 +261,7 @@ func TestChecksumStreamCancelMidBody(t *testing.T) {
 	// accounted.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if srv.metrics.errors.Get("/v1/checksum/stream") != nil {
+		if getMetrics(t, ts).Errors["/v1/checksum/stream"] != 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -25,7 +25,8 @@
 //	                     (Go duration), ?error=true, ?limit=
 //	GET  /v1/traces/{id} one retained trace's full span tree
 //	GET  /healthz        liveness (always unauthenticated)
-//	GET  /metrics        request/pool counters, expvar-style JSON;
+//	GET  /metrics        request/pool counters as JSON, derived from the
+//	                     same store the expositions render;
 //	                     ?format=prometheus (or Accept: text/plain) selects
 //	                     the classic 0.0.4 text exposition (exemplar-free):
 //	                     per-endpoint latency histograms, request outcomes,
@@ -82,9 +83,7 @@
 // trace volume.
 //
 // The crcserve binary adds -pprof (net/http/pprof on a separate,
-// default-loopback listener, never this mux) and -remeasure (periodic
-// kernel-profile drift watch registered on Server.Registry); the dist
-// coordinator's DebugAddr serves its live ledger in the same exposition
+// default-loopback listener, never this mux); the dist coordinator's DebugAddr serves its live ledger in the same exposition
 // format. cmd/promcheck validates any scrape offline.
 //
 // # Sessions, coalescing, cancellation

@@ -12,12 +12,12 @@ import (
 	"koopmancrc/internal/obs"
 )
 
-// serverObs bundles the server's obs-based instrumentation: per-endpoint
-// request latency and outcome counters, per-phase engine histograms, and
-// gauge views over the expvar counters and the session pool. It is the
-// Prometheus-format sibling of the expvar metrics struct — the JSON
-// /metrics document is untouched, this adds the exposition the ROADMAP's
-// fleet tooling scrapes.
+// serverObs is the server's one metrics store: per-endpoint request
+// latency and outcome counters, per-phase engine histograms, the
+// checksum and corpus counts, and gauge views over the session pool. The
+// Prometheus and OpenMetrics expositions render its registry directly;
+// the JSON /metrics document is derived from the same values (see
+// jsonDoc), so every count is kept exactly once.
 type serverObs struct {
 	registry *obs.Registry
 
@@ -27,11 +27,26 @@ type serverObs struct {
 	phaseSeconds *obs.HistogramVec // engine phase wall time by phase
 	phaseProbes  *obs.HistogramVec // engine phase work ops by phase
 
-	batchItems  *obs.Histogram // items per checksum batch
-	batchBytes  *obs.Histogram // total decoded payload bytes per checksum batch
-	streamBytes *obs.Histogram // body bytes per completed checksum stream
+	checksums    *obs.CounterVec // checksums computed, by kernel kind
+	streamErrors *obs.Counter    // SSE evaluations that ended in an error event
+	batchItems   *obs.Histogram  // items per checksum batch
+	batchBytes   *obs.Histogram  // total decoded payload bytes per checksum batch
+	streamBytes  *obs.Histogram  // body bytes per completed checksum stream
 
 	corpusLoad *obs.Histogram // corpus lookup+restore wall time per new session
+
+	// Counts exposed as gauges: the families keep the gauge type they
+	// have always had, so the values live here and the registry reads
+	// them at exposition time.
+	flights   obs.Counter // evaluations actually started on an engine
+	coalesced obs.Counter // requests that joined an in-flight identical evaluation
+	canceled  obs.Counter // evaluations aborted via the engine's cancel hook
+	streams   obs.Counter // SSE streams served
+
+	corpusHits      obs.Counter // sessions warm-started from the corpus
+	corpusMisses    obs.Counter // sessions created with no stored knowledge
+	corpusWrites    obs.Counter // memo snapshots persisted write-behind
+	corpusWriteErrs obs.Counter // persistence attempts that failed
 }
 
 func newServerObs(s *Server) *serverObs {
@@ -48,6 +63,10 @@ func newServerObs(s *Server) *serverObs {
 		phaseProbes: r.NewHistogramVec("crcserve_engine_phase_probes",
 			"Engine probe-phase work operations (probes + store inserts).",
 			obs.WorkBuckets(), "phase"),
+		checksums: r.NewCounterVec("crcserve_checksums_total",
+			"Checksums computed (single, batch items and streams) by kernel kind.", "kernel"),
+		streamErrors: r.NewCounter("crcserve_evaluate_stream_errors_total",
+			"SSE /v1/evaluate streams that ended in an error event; their HTTP status is 200."),
 		batchItems: r.NewHistogram("crcserve_checksum_batch_items",
 			"Items per /v1/checksum/batch request.", obs.WorkBuckets()),
 		batchBytes: r.NewHistogram("crcserve_checksum_batch_bytes",
@@ -58,14 +77,15 @@ func newServerObs(s *Server) *serverObs {
 			"Corpus lookup plus memo restore wall time per new session (hits and misses).",
 			obs.LatencyBuckets()),
 	}
+	count := func(c *obs.Counter) func() float64 { return func() float64 { return float64(c.Value()) } }
 	r.NewGaugeFunc("crcserve_flights",
-		"Evaluations actually started on an engine.", func() float64 { return float64(s.metrics.flights.Value()) })
+		"Evaluations actually started on an engine.", count(&o.flights))
 	r.NewGaugeFunc("crcserve_coalesced_requests",
-		"Requests that joined an in-flight identical evaluation.", func() float64 { return float64(s.metrics.coalesced.Value()) })
+		"Requests that joined an in-flight identical evaluation.", count(&o.coalesced))
 	r.NewGaugeFunc("crcserve_canceled_evaluations",
-		"Evaluations aborted via the engine's cancel hook.", func() float64 { return float64(s.metrics.canceled.Value()) })
+		"Evaluations aborted via the engine's cancel hook.", count(&o.canceled))
 	r.NewGaugeFunc("crcserve_streams",
-		"SSE streams served.", func() float64 { return float64(s.metrics.streams.Value()) })
+		"SSE streams served.", count(&o.streams))
 	r.NewGaugeFunc("crcserve_pool_sessions",
 		"Live Analyzer sessions in the pool.", func() float64 { n, _, _, _ := s.pool.counts(); return float64(n) })
 	r.NewGaugeFunc("crcserve_pool_hits",
@@ -83,19 +103,71 @@ func newServerObs(s *Server) *serverObs {
 		})
 	if s.corpus != nil {
 		r.NewGaugeFunc("crcserve_corpus_hits",
-			"Sessions warm-started from the persistent corpus.", func() float64 { return float64(s.metrics.corpusHits.Value()) })
+			"Sessions warm-started from the persistent corpus.", count(&o.corpusHits))
 		r.NewGaugeFunc("crcserve_corpus_misses",
-			"Sessions created with no stored corpus knowledge.", func() float64 { return float64(s.metrics.corpusMisses.Value()) })
+			"Sessions created with no stored corpus knowledge.", count(&o.corpusMisses))
 		r.NewGaugeFunc("crcserve_corpus_writes",
-			"Memo snapshots persisted to the corpus write-behind.", func() float64 { return float64(s.metrics.corpusWrites.Value()) })
+			"Memo snapshots persisted to the corpus write-behind.", count(&o.corpusWrites))
 		r.NewGaugeFunc("crcserve_corpus_write_errors",
-			"Corpus persistence attempts that failed.", func() float64 { return float64(s.metrics.corpusWriteErrs.Value()) })
+			"Corpus persistence attempts that failed.", count(&o.corpusWriteErrs))
 		r.NewGaugeFunc("crcserve_corpus_entries",
 			"Polynomials with stored knowledge in the corpus.", func() float64 { return float64(s.corpus.Stats().Entries) })
 		r.NewGaugeFunc("crcserve_corpus_bytes",
 			"Approximate serialized bytes of the corpus entries.", func() float64 { return float64(s.corpus.Stats().Bytes) })
 	}
 	return o
+}
+
+// requestCounts derives the JSON document's "requests" and "errors" maps
+// from crcserve_requests_total. "requests" counts, per API endpoint, the
+// requests that reached its handler: a 401 was refused by the auth gate
+// and a 405 by the router, and the operational endpoints (/healthz,
+// /metrics, /v1/traces) are not counted. "errors" counts non-2xx
+// answers per endpoint, every 401 under "auth", plus SSE evaluations
+// that failed inside their 200 stream.
+func (o *serverObs) requestCounts() (requests, errs map[string]int64) {
+	requests, errs = map[string]int64{}, map[string]int64{}
+	o.requests.Each(func(values []string, n int64) {
+		ep, code := values[0], values[1]
+		switch {
+		case code == "401":
+			errs["auth"] += n
+			return
+		case code == "405" || ep == "other":
+			return
+		}
+		if apiEndpoint(ep) {
+			requests[ep] += n
+		}
+		if c, _ := strconv.Atoi(code); c >= 400 {
+			errs[ep] += n
+		}
+	})
+	if n := o.streamErrors.Value(); n > 0 {
+		errs["/v1/evaluate"] += n
+	}
+	return requests, errs
+}
+
+// jsonDoc renders the JSON /metrics document from the store.
+func (s *Server) jsonDoc() map[string]any {
+	o := s.obs
+	requests, errs := o.requestCounts()
+	kernels := map[string]int64{}
+	o.checksums.Each(func(values []string, n int64) { kernels[values[0]] = n })
+	return map[string]any{
+		"requests":         requests,
+		"errors":           errs,
+		"checksum_kernels": kernels,
+		"flights":          o.flights.Value(),
+		"coalesced":        o.coalesced.Value(),
+		"canceled":         o.canceled.Value(),
+		"streams":          o.streams.Value(),
+		"batch_items":      int64(o.batchItems.Sum()),
+		"stream_bytes":     int64(o.streamBytes.Sum()),
+		"pool":             s.pool.stats(),
+		"corpus":           s.corpusMetrics(),
+	}
 }
 
 // endpointLabel bounds the endpoint label cardinality to the mux's known
@@ -113,6 +185,17 @@ func endpointLabel(path string) string {
 		return "/v1/traces/{id}"
 	}
 	return "other"
+}
+
+// apiEndpoint reports whether an endpoint label names one of the API
+// endpoints the JSON document's "requests" map counts.
+func apiEndpoint(ep string) bool {
+	switch ep {
+	case "/v1/evaluate", "/v1/hd", "/v1/maxlen", "/v1/select",
+		"/v1/checksum", "/v1/checksum/batch", "/v1/checksum/stream", "/v1/algorithms":
+		return true
+	}
+	return false
 }
 
 // statusWriter captures the response status and body byte count for the
@@ -259,8 +342,7 @@ func (s *Server) observeSpan(ctx context.Context, sp koopmancrc.Span) {
 }
 
 // Registry exposes the server's obs registry so the embedding binary can
-// register process-level metrics (e.g. crcserve's auto-profile drift
-// histogram) onto the same /metrics exposition.
+// register process-level metrics onto the same /metrics exposition.
 func (s *Server) Registry() *obs.Registry { return s.obs.registry }
 
 // statusLabel formats an HTTP status for the code label without

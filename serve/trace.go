@@ -45,9 +45,8 @@ func (s *Server) poolGet(ctx context.Context, p koopmancrc.Polynomial, maxHD int
 // (exact root-span name), min_duration (Go duration string), error
 // (true → errored only), limit (default 100).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/traces"
 	if s.recorder == nil {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("tracing disabled"))
+		s.writeError(w, r, http.StatusNotFound, errors.New("tracing disabled"))
 		return
 	}
 	q := r.URL.Query()
@@ -58,7 +57,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_duration"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("min_duration: "+err.Error()))
+			s.writeError(w, r, http.StatusBadRequest, errors.New("min_duration: "+err.Error()))
 			return
 		}
 		f.MinDuration = d
@@ -66,7 +65,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("error"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("error: "+err.Error()))
+			s.writeError(w, r, http.StatusBadRequest, errors.New("error: "+err.Error()))
 			return
 		}
 		f.ErrorsOnly = b
@@ -74,7 +73,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("limit must be a positive integer"))
+			s.writeError(w, r, http.StatusBadRequest, errors.New("limit must be a positive integer"))
 			return
 		}
 		f.Limit = n
@@ -85,14 +84,13 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves one retained trace's full span tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/traces/{id}"
 	if s.recorder == nil {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("tracing disabled"))
+		s.writeError(w, r, http.StatusNotFound, errors.New("tracing disabled"))
 		return
 	}
 	td, ok := s.recorder.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("trace not found (evicted or never retained)"))
+		s.writeError(w, r, http.StatusNotFound, errors.New("trace not found (evicted or never retained)"))
 		return
 	}
 	writeJSON(w, http.StatusOK, td)
