@@ -28,11 +28,13 @@ type Limits struct {
 	// effectively unbounded).
 	MaxProbes int64
 	// MaxStoreEntries is the threshold above which meet-in-the-middle
-	// joins switch from a compact positional map to the whole-space
-	// bitmap (default 1<<20 entries).
+	// joins switch from a hash table of subset syndromes to the
+	// whole-space bitmap (default 2^(width-7) entries, the largest table
+	// still smaller than the bitmap).
 	MaxStoreEntries int
-	// MaxPairBuffer bounds the pair-syndrome buffer used by exact
-	// weight-4 counting, in 4-byte entries (default 300<<20).
+	// MaxPairBuffer bounds the position pairs exact weight-4 counting
+	// enumerates: lengths whose codeword has more than this many pairs
+	// fail with ErrBudgetExceeded (default 300<<20).
 	MaxPairBuffer int
 }
 
@@ -71,7 +73,7 @@ type EvalStats struct {
 	Probes      int64 // subset syndromes tested
 	StoreOps    int64 // subset syndromes inserted
 	EarlyExits  int64 // searches terminated by the first undetectable error
-	Resolutions int64 // bitmap hits re-resolved into explicit witnesses
+	Resolutions int64 // store hits re-resolved into explicit witnesses
 }
 
 // MemoStats sizes the knowledge an Analyzer session has memoized and the

@@ -129,6 +129,19 @@ func BenchmarkBreakpointIncreasingLengths(b *testing.B) {
 	}
 }
 
+// BenchmarkBreakpointScan covers the same increasing lengths once each:
+// one meet-in-the-middle scan grown round by round, stopping at the
+// first pattern.
+func BenchmarkBreakpointScan(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ev := hamming.New(poly.IEEE8023)
+		n, _, found, err := ev.FirstDataLenStrategy(5, 16384, hamming.StrategyScan)
+		if err != nil || !found || n != 269 {
+			b.Fatalf("boundary %d %v %v", n, found, err)
+		}
+	}
+}
+
 // BenchmarkBreakpointDirect is the baseline: evaluate the full length
 // first, then subdivide.
 func BenchmarkBreakpointDirect(b *testing.B) {

@@ -15,6 +15,11 @@ const (
 	// StrategyDirect evaluates the full length first and only then binary
 	// searches. It is the baseline the paper's method is compared against.
 	StrategyDirect
+	// StrategyScan covers the paper's increasing lengths once each: one
+	// meet-in-the-middle join grown round by round, probed in order of
+	// the pattern's largest position, so the first hit is the boundary.
+	// It is FirstDataLen's strategy; the other two are its baselines.
+	StrategyScan
 )
 
 // FirstDataLen returns the smallest data-word length (up to maxLen) at
@@ -22,7 +27,7 @@ const (
 // with a witness pattern. found is false if no such length exists within
 // maxLen.
 func (e *Evaluator) FirstDataLen(w, maxLen int) (int, []int, bool, error) {
-	return e.FirstDataLenStrategy(w, maxLen, StrategyIncreasing)
+	return e.FirstDataLenStrategy(w, maxLen, StrategyScan)
 }
 
 // FirstDataLenStrategy is FirstDataLen with an explicit search strategy for
@@ -50,9 +55,11 @@ func (e *Evaluator) FirstDataLenStrategy(w, maxLen int, s Strategy) (int, []int,
 		return e.firstLen3(maxLen)
 	case 4:
 		return e.firstLen4(maxLen)
-	default:
-		return e.firstLenSearch(w, maxLen, s)
 	}
+	if s == StrategyScan {
+		return e.firstLenScan(w, maxLen)
+	}
+	return e.firstLenSearch(w, maxLen, s)
 }
 
 // firstLen3 scans codeword positions once, maintaining the syndromes of all
@@ -130,6 +137,65 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 		m.put(1^sc, int32(c))
 	}
 	return 0, nil, false, nil
+}
+
+// firstLenScan locates a w>=5 boundary in one incremental
+// meet-in-the-middle scan over the largest pattern position c, in the
+// paper's doubling rounds of data length (8, 16, 32, … bits). Each round
+// first stores every p-subset whose largest position falls in it, then
+// probes {0, c} plus (q-1)-subsets of [1, c) for each c of the round in
+// order, resolving hits inside [1, c). Every canonical pattern with
+// largest position c is met when c is probed, so the first c that
+// resolves is the boundary. Work is charged to MaxProbes as it happens.
+//
+// A round whose store would overfill the set resets it to the round's
+// size (a larger table or the bitmap) and stores again from position 1:
+// refilling costs what rehashing would, and the old table is dropped
+// before the new one is allocated.
+func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
+	defer e.spanStart(SpanBoundary, w, maxLen)()
+	j := e.newJoin(w, e.codewordLen(maxLen))
+	e.set.reset(0)
+	stored, next := 1, 1 // the store holds p-subsets of [1, stored); c < next are probed
+	for l := min(8, maxLen); ; l = min(2*l, maxLen) {
+		if err := e.begin(w, l); err != nil {
+			return 0, nil, false, err
+		}
+		end := e.codewordLen(l)
+		j.dataLen = l
+		if total := binomAtMost(end-1, j.p, 1<<62); !e.set.fits(total) {
+			e.set.reset(total)
+			stored = 1
+		}
+		endStore := e.spanStart(SpanMITMStore, w, l)
+		err := j.store(stored, end)
+		stored = end
+		endStore()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		endProbe := e.spanStart(SpanMITMProbe, w, l)
+		for c := next; c < end; c++ {
+			wit, err := j.probe(c)
+			if err != nil {
+				endProbe()
+				return 0, nil, false, err
+			}
+			if wit != nil {
+				endProbe()
+				if err := e.verifyWitness(w, c+1, wit); err != nil {
+					return 0, nil, false, err
+				}
+				e.Stats.EarlyExits++
+				return e.dataLenFor(c), wit, true, nil
+			}
+		}
+		endProbe()
+		if l == maxLen {
+			return 0, nil, false, nil
+		}
+		next = end
+	}
 }
 
 // firstLenSearch locates a w>=5 boundary with existence queries.

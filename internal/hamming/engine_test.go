@@ -3,7 +3,7 @@ package hamming
 import (
 	"errors"
 	"math/rand/v2"
-	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,7 +131,7 @@ func TestExactWeightsMatchBruteForce(t *testing.T) {
 				}
 				got, err := e.Weight(w, n)
 				if err != nil {
-					// The pair-collision W4 formula legitimately refuses
+					// The canonical W4 count legitimately refuses
 					// lengths where W2 > 0.
 					if w == 4 {
 						w2, werr := e.Weight(2, n)
@@ -150,12 +150,14 @@ func TestExactWeightsMatchBruteForce(t *testing.T) {
 }
 
 func TestFirstDataLenMatchesBruteScan(t *testing.T) {
+	// Weights 6 and 7 take the scan's generic loops: a store side of
+	// p = 3 positions and probes of q-1 = 2 beyond {0, c}.
 	rng := rand.New(rand.NewPCG(505, 5))
 	const maxLen = 24
 	for trial := 0; trial < 15; trial++ {
 		p := randPoly(rng, 8)
 		e := New(p)
-		for w := 2; w <= 5; w++ {
+		for w := 2; w <= 7; w++ {
 			want := 0
 			for n := 1; n <= maxLen; n++ {
 				c, err := e.WeightBrute(w, n)
@@ -177,16 +179,33 @@ func TestFirstDataLenMatchesBruteScan(t *testing.T) {
 			if found && got != want {
 				t.Fatalf("%v w=%d: FirstDataLen=%d, brute scan=%d (witness %v)", p, w, got, want, wit)
 			}
+			if found {
+				if err := e.verifyWitness(w, e.codewordLen(got), wit); err != nil {
+					t.Fatalf("%v w=%d: %v", p, w, err)
+				}
+			}
 		}
 	}
 }
 
 func TestStrategiesAgree(t *testing.T) {
+	// Weights 7 and 8 take the generic loops of the scan and of the
+	// existence queries: p-1 = 2 stored positions beyond the largest and
+	// q-1 = 3 probed beyond {0, c}.
 	rng := rand.New(rand.NewPCG(606, 6))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		p := randPoly(rng, 10)
 		e := New(p)
-		for w := 5; w <= 6; w++ {
+		if trial%2 == 1 {
+			// A store bound past these joins' sizes keeps the store a
+			// table; by default it becomes the 2^10-bit bitmap.
+			e = New(p, WithMaxStoreEntries(1<<20))
+		}
+		for w := 5; w <= 8; w++ {
+			n0, wit, f0, err := e.FirstDataLenStrategy(w, 80, StrategyScan)
+			if err != nil {
+				t.Fatal(err)
+			}
 			n1, _, f1, err := e.FirstDataLenStrategy(w, 80, StrategyIncreasing)
 			if err != nil {
 				t.Fatal(err)
@@ -195,10 +214,63 @@ func TestStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f1 != f2 || n1 != n2 {
-				t.Fatalf("%v w=%d: increasing=(%d,%v) direct=(%d,%v)", p, w, n1, f1, n2, f2)
+			if f0 != f1 || n0 != n1 || f1 != f2 || n1 != n2 {
+				t.Fatalf("%v w=%d: scan=(%d,%v) increasing=(%d,%v) direct=(%d,%v)", p, w, n0, f0, n1, f1, n2, f2)
+			}
+			if f0 {
+				if err := e.verifyWitness(w, e.codewordLen(n0), wit); err != nil {
+					t.Fatalf("%v w=%d: %v", p, w, err)
+				}
 			}
 		}
+	}
+}
+
+// TestBoundaryBudget: the scan charges its work to MaxProbes as it goes,
+// and never needs more of it than the largest existence query of the
+// paper's increasing-lengths search.
+func TestBoundaryBudget(t *testing.T) {
+	// 802.3's weight-8 boundary is 58 bits. The increasing search's
+	// largest query, Exists(8, 64), needs C(95,3)+C(95,4) = 3,321,960
+	// operations.
+	for _, tt := range []struct {
+		budget int64
+		ok     bool
+	}{{1 << 22, true}, {1 << 16, false}} {
+		for _, s := range []Strategy{StrategyScan, StrategyIncreasing} {
+			e := New(poly.IEEE8023, WithMaxProbes(tt.budget))
+			n, _, found, err := e.FirstDataLenStrategy(8, 16384, s)
+			if tt.ok && (err != nil || !found || n != 58) {
+				t.Errorf("strategy %d, budget %d: (%d, %v, %v), want 58", s, tt.budget, n, found, err)
+			}
+			if !tt.ok && !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("strategy %d, budget %d: err = %v, want ErrBudgetExceeded", s, tt.budget, err)
+			}
+		}
+	}
+}
+
+// TestWeight4Refusals: exact W4 refuses exactly the lengths whose
+// n(n-1)/2 position pairs exceed MaxPairBuffer, and refuses lengths with
+// W2 > 0, where the canonical count does not apply.
+func TestWeight4Refusals(t *testing.T) {
+	const dataLen = 1000
+	n := dataLen + 32
+	pairs := n * (n - 1) / 2
+	if _, err := New(poly.IEEE8023, WithMaxPairBuffer(pairs)).Weight(4, dataLen); err != nil {
+		t.Fatalf("W4 with %d pairs allowed: %v", pairs, err)
+	}
+	if _, err := New(poly.IEEE8023, WithMaxPairBuffer(pairs-1)).Weight(4, dataLen); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("W4 with %d pairs allowed: err = %v, want ErrBudgetExceeded", pairs-1, err)
+	}
+	// (x+1)(x^3+x+1) has period 7: W2 > 0 from data length 4.
+	p, err := poly.FromFull(0x1D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(p).Weight(4, 12)
+	if err == nil || errors.Is(err, ErrBudgetExceeded) || !strings.Contains(err.Error(), "W2 > 0") {
+		t.Fatalf("W4 with W2 > 0: err = %v, want the W2 > 0 refusal", err)
 	}
 }
 
@@ -486,24 +558,43 @@ func TestU32Count(t *testing.T) {
 	}
 }
 
-func TestRadixSortUint32(t *testing.T) {
-	f := func(vals []uint32) bool {
-		got := append([]uint32(nil), vals...)
-		got = radixSortUint32(got, nil)
-		want := append([]uint32(nil), vals...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
+// TestSynSet drives the join's store set through both forms, reuse
+// of a larger table, and key 0, against a Go map.
+func TestSynSet(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 13))
+	for _, width := range []int{16, 32} {
+		s := synSet{width: width, maxKeys: 5000}
+		for round, total := range []int64{4000, 100, 40000, 100} {
+			s.reset(total)
+			if !s.fits(total) || (s.keys != nil && s.fits(4*total)) {
+				t.Fatalf("width %d round %d: fits wrong for a set reset to %d keys", width, round, total)
+			}
+			ref := map[uint32]bool{}
+			mask := uint32(1<<width - 1)
+			for added := int64(0); added < total; added++ {
+				k := rng.Uint32() & mask
+				if added == 0 {
+					k = 0
+				}
+				s.add(k)
+				ref[k] = true
+			}
+			for k := range ref {
+				if !s.has(k) {
+					t.Fatalf("width %d round %d: key %#x lost", width, round, k)
+				}
+			}
+			wantBitmap := total > int64(s.maxKeys)
+			if (s.keys == nil) != wantBitmap {
+				t.Fatalf("width %d round %d: bitmap = %v with %d keys, want %v", width, round, s.keys == nil, total, wantBitmap)
+			}
+			for i := 0; i < 10000; i++ {
+				k := rng.Uint32() & mask
+				if s.has(k) != ref[k] {
+					t.Fatalf("width %d round %d: has(%#x) = %v, want %v", width, round, k, !ref[k], ref[k])
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

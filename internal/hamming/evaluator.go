@@ -15,7 +15,11 @@
 //
 // Dividing by x shows every minimal pattern can be taken to include
 // position 0, which is what makes meet-in-the-middle search over syndrome
-// sets exact.
+// sets exact. Every pattern is a shift of such a canonical one, so a
+// canonical pattern whose largest position is c stands for N-c patterns
+// of an N-bit codeword (Manganiello's observation): the exact W3 and W4
+// counts enumerate canonical patterns and credit each with its
+// translates.
 //
 // # Engines
 //
@@ -25,6 +29,14 @@
 // software did — including the FCS-bits-first ordering and early-bailout
 // optimisations of §4.1 — and serves as the reference implementation the
 // fast engine is validated against.
+//
+// The fast engine finds a weight-w boundary (w >= 5) in one pass: a
+// meet-in-the-middle join over the pattern's largest position c, grown in
+// the paper's doubling rounds of length, whose first resolving hit is the
+// boundary (StrategyScan). Exists answers one length with the same join.
+// Both keep the store side in one set, a hash table behind a bit
+// prefilter that becomes a bitmap over all 2^width syndromes only when
+// the table would grow larger than that bitmap.
 package hamming
 
 import (
@@ -37,12 +49,8 @@ import (
 
 // Default resource limits.
 const (
-	// DefaultMaxStoreEntries bounds the number of subset syndromes
-	// materialised on the store side of a meet-in-the-middle join before
-	// switching to the whole-space bitmap.
-	DefaultMaxStoreEntries = 1 << 20
-	// DefaultMaxPairBuffer bounds the pair-syndrome buffer used by exact
-	// weight-4 counting (entries, 4 bytes each).
+	// DefaultMaxPairBuffer bounds the position pairs exact weight-4
+	// counting enumerates.
 	DefaultMaxPairBuffer = 300 << 20
 	// DefaultMaxProbes bounds the total probe work of a single existence
 	// query; queries beyond it return ErrBudgetExceeded.
@@ -103,11 +111,15 @@ type Stats struct {
 	Probes      int64 // subset syndromes tested
 	StoreOps    int64 // subset syndromes inserted
 	EarlyExits  int64 // searches terminated by the first undetectable error
-	Resolutions int64 // bitmap hits re-resolved into explicit witnesses
+	Resolutions int64 // store hits re-resolved into explicit witnesses
 }
 
 // Options configure an Evaluator.
 type Options struct {
+	// MaxStoreEntries is the most subset syndromes a meet-in-the-middle
+	// join keeps in its hash table before switching to the bitmap over
+	// all 2^width syndromes. Zero means the width's break-even point:
+	// 2^(width-7), where the table stops being smaller than the bitmap.
 	MaxStoreEntries int
 	MaxPairBuffer   int
 	MaxProbes       int64
@@ -139,11 +151,12 @@ func WithCancel(fn func() bool) Option { return func(o *Options) { o.Cancel = fn
 // engine phase.
 func WithSpanHook(fn func(SpanEvent)) Option { return func(o *Options) { o.Span = fn } }
 
-// WithMaxPairBuffer bounds the exact weight-4 pair buffer (entries).
+// WithMaxPairBuffer bounds the position pairs exact weight-4 counting
+// enumerates.
 func WithMaxPairBuffer(n int) Option { return func(o *Options) { o.MaxPairBuffer = n } }
 
 // WithMaxStoreEntries sets the threshold above which meet-in-the-middle
-// joins switch from a positional map to the whole-space bitmap.
+// joins switch from a hash table to the whole-space bitmap.
 func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEntries = n } }
 
 // Evaluator computes error-detection properties of one generator
@@ -162,7 +175,7 @@ type Evaluator struct {
 	periodErr error
 	periodSet bool
 
-	bitmap []uint64 // lazily allocated 2^width-bit scratch set
+	set synSet // store side of the meet-in-the-middle joins
 
 	bruteBudget int64 // per-call probe budget of the brute engine
 
@@ -229,14 +242,16 @@ func (e *Evaluator) spanStart(phase string, w, dataLen int) func() {
 // New returns an evaluator for the polynomial.
 func New(p poly.P, opts ...Option) *Evaluator {
 	o := Options{
-		MaxStoreEntries: DefaultMaxStoreEntries,
-		MaxPairBuffer:   DefaultMaxPairBuffer,
-		MaxProbes:       DefaultMaxProbes,
+		MaxPairBuffer: DefaultMaxPairBuffer,
+		MaxProbes:     DefaultMaxProbes,
 	}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	w := p.Width()
+	if o.MaxStoreEntries <= 0 {
+		o.MaxStoreEntries = defaultMaxStoreEntries(w)
+	}
 	mask := ^uint32(0)
 	if w < 32 {
 		mask = 1<<uint(w) - 1
@@ -248,6 +263,7 @@ func New(p poly.P, opts ...Option) *Evaluator {
 		mask:   mask,
 		topBit: 1 << uint(w-1),
 		syn:    []uint32{1}, // x^0 mod G = 1 (deg G >= 1)
+		set:    synSet{width: w, maxKeys: o.MaxStoreEntries},
 		opts:   o,
 	}
 }
@@ -300,20 +316,4 @@ func (e *Evaluator) dataLenFor(maxPos int) int {
 		n = 1
 	}
 	return n
-}
-
-// bitset returns the scratch bitmap covering all 2^width syndromes,
-// cleared.
-func (e *Evaluator) bitset() []uint64 {
-	words := 1
-	if e.width >= 6 {
-		words = 1 << uint(e.width-6)
-	}
-	if cap(e.bitmap) < words {
-		e.bitmap = make([]uint64, words)
-		return e.bitmap
-	}
-	e.bitmap = e.bitmap[:words]
-	clear(e.bitmap)
-	return e.bitmap
 }

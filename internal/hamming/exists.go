@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -46,50 +47,56 @@ func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 	}
 }
 
-// meetInMiddle searches for a weight-w multiple of G within n codeword bits.
+// meetInMiddle searches for a weight-w multiple of G within n codeword
+// bits. The store side is every p-subset of [1, n); the probe side every
+// q-subset, taken in order of its largest position.
 func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
-	if err := e.begin(w, n-e.width); err != nil {
+	dataLen := n - e.width
+	if err := e.begin(w, dataLen); err != nil {
 		return nil, false, err
 	}
-	rem := w - 1
-	p := rem / 2
-	q := rem - p // p <= q; the smaller side is materialised
+	p, q := splitWeight(w)
 	storeCount := binomAtMost(n-1, p, 1<<62)
 	probeCount := binomAtMost(n-1, q, 1<<62)
 	if storeCount+probeCount > e.opts.MaxProbes {
 		return nil, false, fmt.Errorf("%w: weight %d at %d codeword bits needs %d operations",
 			ErrBudgetExceeded, w, n, storeCount+probeCount)
 	}
-	syn := e.syndromes(n)
+	j := e.newJoin(w, n)
+	j.dataLen, j.resolveTo = dataLen, n
+	e.set.reset(storeCount)
 
-	var set synSet
-	if storeCount <= int64(e.opts.MaxStoreEntries) && e.width > 20 {
-		set = newMapSet(int(storeCount))
-	} else {
-		set = bitmapSet(e.bitset())
-	}
-	endStore := e.spanStart(SpanMITMStore, w, n-e.width)
-	if err := e.enumStore(syn, n, w, p, set); err != nil {
-		endStore()
-		return nil, false, err
-	}
-	e.Stats.StoreOps += storeCount
+	endStore := e.spanStart(SpanMITMStore, w, dataLen)
+	err := j.store(1, n)
 	endStore()
-
-	endProbe := e.spanStart(SpanMITMProbe, w, n-e.width)
-	witness, found, err := e.probe(syn, n, w, p, q, set)
-	endProbe()
 	if err != nil {
 		return nil, false, err
 	}
-	if found {
-		e.Stats.EarlyExits++
-		if err := e.verifyWitness(w, n, witness); err != nil {
+
+	endProbe := e.spanStart(SpanMITMProbe, w, dataLen)
+	defer endProbe()
+	for c := 1; c < n; c++ {
+		wit, err := j.probe(c)
+		if err != nil {
 			return nil, false, err
 		}
-		return witness, true, nil
+		if wit != nil {
+			if err := e.verifyWitness(w, n, wit); err != nil {
+				return nil, false, err
+			}
+			e.Stats.EarlyExits++
+			return wit, true, nil
+		}
 	}
 	return nil, false, nil
+}
+
+// splitWeight divides the w-1 positions of a canonical pattern besides 0
+// into the p stored and the q probed, p <= q: the smaller side is
+// materialised.
+func splitWeight(w int) (p, q int) {
+	p = (w - 1) / 2
+	return p, w - 1 - p
 }
 
 // verifyWitness defensively re-checks a reported pattern: correct weight,
@@ -111,151 +118,152 @@ func (e *Evaluator) verifyWitness(w, n int, witness []int) error {
 	return nil
 }
 
-// synSet is a presence set over syndrome values.
-type synSet interface {
-	add(uint32)
-	has(uint32) bool
+// join is one meet-in-the-middle search for canonical weight-w patterns
+// {0} ∪ S: S splits into a p-subset whose syndromes the evaluator's set
+// stores and a q-subset probed against them. Probes go by the largest
+// probe position c, as {0, c} plus q-1 positions of [1, c).
+type join struct {
+	e       *Evaluator
+	syn     []uint32
+	w, p, q int
+	dataLen int // labels progress events and budget errors
+
+	// resolveTo bounds the store positions a hit resolves with, [1,
+	// resolveTo); 0 means [1, c), for a scan whose store already holds
+	// positions past the c it probes.
+	resolveTo int
+	budget    int64 // e.Stats.Probes+StoreOps may not exceed it
+	pos       []int // probe positions chosen so far
 }
 
-// bitmapSet covers the whole 2^width syndrome space; exact and O(1), used
-// when the store side is large.
-type bitmapSet []uint64
+// newJoin prepares a weight-w join over the first n positions. The
+// caller resets the evaluator's set.
+func (e *Evaluator) newJoin(w, n int) *join {
+	p, q := splitWeight(w)
+	budget := e.Stats.Probes + e.Stats.StoreOps
+	if budget > math.MaxInt64-e.opts.MaxProbes {
+		budget = math.MaxInt64
+	} else {
+		budget += e.opts.MaxProbes
+	}
+	return &join{e: e, syn: e.syndromes(n), w: w, p: p, q: q, budget: budget, pos: make([]int, 0, q+1)}
+}
 
-func (b bitmapSet) add(v uint32)      { b[v>>6] |= 1 << (v & 63) }
-func (b bitmapSet) has(v uint32) bool { return b[v>>6]&(1<<(v&63)) != 0 }
-
-// mapSet is a compact open-addressed presence set for small store sides,
-// avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
-type mapSet struct{ m *u32map }
-
-func newMapSet(n int) mapSet       { return mapSet{m: newU32Map(n)} }
-func (s mapSet) add(v uint32)      { s.m.put(v, 0) }
-func (s mapSet) has(v uint32) bool { return s.m.get(v) >= 0 }
-
-// enumStore inserts the syndromes of all p-subsets of positions [1, n).
-// The weight w of the enclosing query labels progress events.
-func (e *Evaluator) enumStore(syn []uint32, n, w, p int, set synSet) error {
-	dataLen := n - e.width
-	switch p {
-	case 1:
-		for i := 1; i < n; i++ {
-			set.add(syn[i])
-		}
-	case 2:
-		for i := 1; i < n; i++ {
-			if err := e.tick(w, dataLen, int64(n-i)); err != nil {
-				return err
-			}
-			si := syn[i]
-			for j := i + 1; j < n; j++ {
-				set.add(si ^ syn[j])
-			}
-		}
-	default:
-		var rec func(start, left int, acc uint32) error
-		rec = func(start, left int, acc uint32) error {
-			if left == 0 {
-				set.add(acc)
-				return e.tick(w, dataLen, 1)
-			}
-			for i := start; i <= n-left; i++ {
-				if err := rec(i+1, left-1, acc^syn[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return rec(1, p, 0)
+// charge adds ops to a work counter, then polls progress and
+// cancellation and checks the budget.
+func (j *join) charge(counter *int64, ops int) error {
+	e := j.e
+	*counter += int64(ops)
+	if err := e.tick(j.w, j.dataLen, int64(ops)); err != nil {
+		return err
+	}
+	if e.Stats.Probes+e.Stats.StoreOps > j.budget {
+		return fmt.Errorf("%w: weight-%d search at %d data bits", ErrBudgetExceeded, j.w, j.dataLen)
 	}
 	return nil
 }
 
-// probe enumerates q-subsets of [1, n) joined with position 0, testing each
-// syndrome against the store set; hits are resolved into explicit disjoint
-// witnesses. The weight w of the enclosing query labels progress events.
-func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool, error) {
-	dataLen := n - e.width
-	base := syn[0] // == 1
-	switch q {
-	case 1:
-		for b := 1; b < n; b++ {
-			if set.has(base ^ syn[b]) {
-				if wit, ok := e.resolve(syn, n, p, base^syn[b], []int{0, b}); ok {
-					return wit, true, nil
-				}
-			}
+// store adds every p-subset whose largest position lies in [lo, hi).
+func (j *join) store(lo, hi int) error {
+	for m := max(lo, j.p); m < hi; m++ {
+		if err := j.addSubsets(m, j.p-1, j.syn[m]); err != nil {
+			return err
 		}
-		e.Stats.Probes += int64(n - 1)
-	case 2:
-		for b := 1; b < n; b++ {
-			if err := e.tick(w, dataLen, int64(n-1-b)); err != nil {
-				return nil, false, err
-			}
-			vb := base ^ syn[b]
-			for c := b + 1; c < n; c++ {
-				if set.has(vb ^ syn[c]) {
-					if wit, ok := e.resolve(syn, n, p, vb^syn[c], []int{0, b, c}); ok {
-						return wit, true, nil
-					}
-				}
-			}
-			e.Stats.Probes += int64(n - 1 - b)
-		}
-	case 3:
-		for b := 1; b < n; b++ {
-			vb := base ^ syn[b]
-			for c := b + 1; c < n; c++ {
-				if err := e.tick(w, dataLen, int64(n-1-c)); err != nil {
-					return nil, false, err
-				}
-				vc := vb ^ syn[c]
-				for d := c + 1; d < n; d++ {
-					if set.has(vc ^ syn[d]) {
-						if wit, ok := e.resolve(syn, n, p, vc^syn[d], []int{0, b, c, d}); ok {
-							return wit, true, nil
-						}
-					}
-				}
-				e.Stats.Probes += int64(n - 1 - c)
-			}
-		}
-	default:
-		pos := make([]int, 0, q+1)
-		var rec func(start, left int, acc uint32) ([]int, bool, error)
-		rec = func(start, left int, acc uint32) ([]int, bool, error) {
-			if left == 0 {
-				e.Stats.Probes++
-				if err := e.tick(w, dataLen, 1); err != nil {
-					return nil, false, err
-				}
-				if set.has(acc) {
-					probeSet := append([]int{0}, pos...)
-					if wit, ok := e.resolve(syn, n, p, acc, probeSet); ok {
-						return wit, true, nil
-					}
-				}
-				return nil, false, nil
-			}
-			for i := start; i <= n-left; i++ {
-				pos = append(pos, i)
-				wit, ok, err := rec(i+1, left-1, acc^syn[i])
-				if ok || err != nil {
-					return wit, ok, err
-				}
-				pos = pos[:len(pos)-1]
-			}
-			return nil, false, nil
-		}
-		return rec(1, q, base)
 	}
-	return nil, false, nil
+	return nil
+}
+
+// addSubsets stores acc XOR each k-subset of [1, hi), choosing the
+// largest position first so the innermost level is one straight loop.
+func (j *join) addSubsets(hi, k int, acc uint32) error {
+	set := &j.e.set
+	switch k {
+	case 0:
+		set.add(acc)
+		return j.charge(&j.e.Stats.StoreOps, 1)
+	case 1:
+		for i := 1; i < hi; i++ {
+			set.add(acc ^ j.syn[i])
+		}
+		return j.charge(&j.e.Stats.StoreOps, hi-1)
+	}
+	for i := k; i < hi; i++ {
+		if err := j.addSubsets(i, k-1, acc^j.syn[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// probe tests every pattern whose largest probe position is c. It returns
+// the first hit that resolves into a weight-w pattern, sorted.
+func (j *join) probe(c int) ([]int, error) {
+	if c < j.q {
+		return nil, nil
+	}
+	return j.probeSubsets(c, c, j.q-1, 1^j.syn[c])
+}
+
+// probeSubsets tests acc XOR each k-subset of [1, hi) against the store,
+// largest position first, like addSubsets.
+func (j *join) probeSubsets(c, hi, k int, acc uint32) ([]int, error) {
+	e := j.e
+	switch k {
+	case 0:
+		if e.set.has(acc) {
+			if wit := j.resolveHit(c, acc); wit != nil {
+				return wit, nil
+			}
+		}
+		return nil, j.charge(&e.Stats.Probes, 1)
+	case 1:
+		set := &e.set
+		for i := 1; i < hi; i++ {
+			if v := acc ^ j.syn[i]; set.filter.has(v) && set.confirm(v) {
+				j.pos = append(j.pos, i)
+				wit := j.resolveHit(c, v)
+				j.pos = j.pos[:len(j.pos)-1]
+				if wit != nil {
+					e.Stats.Probes += int64(i)
+					return wit, nil
+				}
+			}
+		}
+		return nil, j.charge(&e.Stats.Probes, hi-1)
+	}
+	for i := k; i < hi; i++ {
+		j.pos = append(j.pos, i)
+		wit, err := j.probeSubsets(c, i, k-1, acc^j.syn[i])
+		j.pos = j.pos[:len(j.pos)-1]
+		if wit != nil || err != nil {
+			return wit, err
+		}
+	}
+	return nil, nil
+}
+
+// resolveHit turns a hit of the probe {0, c} ∪ pos into a witness, or nil
+// when no stored subset completes it disjointly.
+func (j *join) resolveHit(c int, target uint32) []int {
+	lim := j.resolveTo
+	if lim == 0 {
+		lim = c
+	}
+	probeSet := append([]int{0, c}, j.pos...)
+	wit, ok := j.e.resolve(j.syn, lim, j.p, target, probeSet)
+	if !ok {
+		return nil
+	}
+	return wit
 }
 
 // resolve turns a store hit into an explicit witness: it re-enumerates
-// p-subsets with the target syndrome and returns the first one disjoint
-// from the probe positions. A hit with no disjoint completion implies a
-// lower-weight undetectable pattern; such anomalies are skipped (the caller
-// will already have found them at the lower weight).
+// p-subsets of [1, n) with the target syndrome and returns the first one
+// disjoint from the probe positions. A hit with no disjoint completion
+// implies a lower-weight undetectable pattern, or in the boundary scan a
+// pattern reaching past the probed c; such hits are skipped (the caller
+// will already have found the former at the lower weight, and meets the
+// latter at its own largest position).
 func (e *Evaluator) resolve(syn []uint32, n, p int, target uint32, probeSet []int) ([]int, bool) {
 	e.Stats.Resolutions++
 	inProbe := func(i int) bool {

@@ -26,9 +26,12 @@ func newU32Map(n int) *u32map {
 	}
 }
 
+// fib is the Fibonacci-hashing multiplier: the top bits of key*fib
+// spread structured syndromes (x^i for i < width) across a table.
+const fib = 0x9E3779B97F4A7C15
+
 func (m *u32map) idx(key uint32) int {
-	// Fibonacci hashing spreads the syndrome bits across the table.
-	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
+	return int((uint64(key) * fib) >> m.shift)
 }
 
 // put inserts key->val (no duplicate check: first write wins).
@@ -91,7 +94,7 @@ func newU32Count(n int) *u32count {
 }
 
 func (m *u32count) idx(key uint32) int {
-	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
+	return int((uint64(key) * fib) >> m.shift)
 }
 
 // add increments the count of key.
@@ -124,31 +127,4 @@ func (m *u32count) count(key uint32) uint32 {
 		}
 		i = (i + 1) & m.mask
 	}
-}
-
-// radixSortUint32 sorts a in place (using scratch of equal length) by four
-// byte passes — linear time for the hundreds of millions of pair syndromes
-// produced by exact weight-4 counting.
-func radixSortUint32(a, scratch []uint32) []uint32 {
-	if len(scratch) < len(a) {
-		scratch = make([]uint32, len(a))
-	}
-	src, dst := a, scratch[:len(a)]
-	for pass := 0; pass < 4; pass++ {
-		shift := uint(8 * pass)
-		var count [257]int
-		for _, v := range src {
-			count[int(byte(v>>shift))+1]++
-		}
-		for i := 1; i < 257; i++ {
-			count[i] += count[i-1]
-		}
-		for _, v := range src {
-			b := byte(v >> shift)
-			dst[count[b]] = v
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	return src // four passes: result is back in the original slice
 }

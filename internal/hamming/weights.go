@@ -81,20 +81,23 @@ func (e *Evaluator) weight3(dataLen int) (uint64, error) {
 	return total, nil
 }
 
-// weight4 counts weight-4 multiples of G via pair-syndrome collisions:
-// every weight-4 codeword {i,j,k,l} is counted by exactly three unordered
-// pairs of position pairs with equal syndromes, so
-//
-//	W4 = sum over syndrome values s of C(m_s, 2) / 3
-//
-// where m_s is the number of position pairs with syndrome s. The formula
-// requires W2 = 0 at this length (otherwise pairs may share positions),
-// which is detected via zero-syndrome runs and reported as an error.
+// w4FilterBits is the log2 size of the weight-4 count's prefilter: 2^20
+// bits (128 KiB) stay in L2 and leave a position map of a few ten
+// thousand entries behind a 1–5% false-pass rate.
+const w4FilterBits = 20
+
+// weight4 counts weight-4 multiples of G by enumerating canonical
+// patterns {0, a, b, c} (bit 0 set, a < b < c) and crediting each with
+// its N-c translates, as weight3 does. With W2 = 0 at this length the N
+// position syndromes are distinct, so each pair {a, b} completes with at
+// most one c: the position whose syndrome is 1 ^ syn[a] ^ syn[b], found
+// in a syndrome-to-position map behind a prefilter. W2 > 0 is detected
+// as a repeated syndrome and reported as an error.
 func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 	n := e.codewordLen(dataLen)
 	pairs := int64(n) * int64(n-1) / 2
 	if pairs > int64(e.opts.MaxPairBuffer) {
-		return 0, fmt.Errorf("%w: exact W4 at %d codeword bits needs %d pair entries (limit %d)",
+		return 0, fmt.Errorf("%w: exact W4 at %d codeword bits needs %d position pairs (limit %d)",
 			ErrBudgetExceeded, n, pairs, e.opts.MaxPairBuffer)
 	}
 	if err := e.begin(4, dataLen); err != nil {
@@ -102,41 +105,35 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 	}
 	defer e.spanStart(SpanW4Count, 4, dataLen)()
 	syn := e.syndromes(n)
-	buf := make([]uint32, pairs)
-	idx := 0
-	for i := 0; i < n; i++ {
-		if err := e.tick(4, dataLen, int64(n-i-1)); err != nil {
+	at := newU32Map(n)
+	var filter prefilter
+	filter.reset(w4FilterBits, false)
+	for c, s := range syn {
+		if at.get(s) >= 0 {
+			return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; canonical W4 count inapplicable", dataLen)
+		}
+		at.put(s, int32(c))
+		filter.add(s)
+	}
+	e.Stats.StoreOps += int64(n)
+	var total uint64
+	for a := 1; a < n; a++ {
+		if err := e.tick(4, dataLen, int64(n-1-a)); err != nil {
 			return 0, err
 		}
-		si := syn[i]
-		for j := i + 1; j < n; j++ {
-			buf[idx] = si ^ syn[j]
-			idx++
+		va := 1 ^ syn[a]
+		for b := a + 1; b < n; b++ {
+			v := va ^ syn[b]
+			if !filter.has(v) {
+				continue
+			}
+			if c := int(at.get(v)); c > b {
+				total += uint64(n - c)
+			}
 		}
+		e.Stats.Probes += int64(n - 1 - a)
 	}
-	e.Stats.StoreOps += pairs
-	sorted := radixSortUint32(buf, nil)
-	if len(sorted) > 0 && sorted[0] == 0 {
-		// A zero pair syndrome is a weight-2 codeword: pairs may then share
-		// positions and the three-pairings-per-codeword argument breaks.
-		return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; pair-collision W4 formula inapplicable", dataLen)
-	}
-	var matches uint64
-	run := uint64(1)
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) && sorted[i] == sorted[i-1] {
-			run++
-			continue
-		}
-		if run > 1 {
-			matches += run * (run - 1) / 2
-		}
-		run = 1
-	}
-	if matches%3 != 0 {
-		return 0, fmt.Errorf("hamming: internal error: %d pair matches not divisible by 3", matches)
-	}
-	return matches / 3, nil
+	return total, nil
 }
 
 // Weights returns exact W2..Wmax at the given length (max <= 4), the

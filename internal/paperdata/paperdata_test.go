@@ -87,6 +87,30 @@ func TestCompareProfileAgainstCheapColumns(t *testing.T) {
 	}
 }
 
+// TestScanMatchesIncreasingLengths checks the one-pass boundary scan
+// against the paper's §4.1 increasing-lengths search on the 32-bit
+// generators of Table 1, at the benchmark's 256 bits and depth 8.
+func TestScanMatchesIncreasingLengths(t *testing.T) {
+	for _, col := range Table1Columns() {
+		for w := 5; w <= min(col.MaxHD, 8); w++ {
+			scan, wit, found, err := hamming.New(col.P).FirstDataLenStrategy(w, 256, hamming.StrategyScan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, wantFound, err := hamming.New(col.P).FirstDataLenStrategy(w, 256, hamming.StrategyIncreasing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found != wantFound || scan != want {
+				t.Errorf("%s w=%d: scan (%d, %v), increasing lengths (%d, %v)", col.Label, w, scan, found, want, wantFound)
+			}
+			if found && len(wit) != w {
+				t.Errorf("%s w=%d: witness %v", col.Label, w, wit)
+			}
+		}
+	}
+}
+
 // TestReproduceTable1 is the full Table 1 / Figure 1 reproduction to
 // 131072 bits — the paper's central artifact. It takes a few minutes of
 // single-core time and is skipped in -short runs (cmd/crctables produces

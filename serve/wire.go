@@ -53,9 +53,14 @@ func (r PolyRef) Polynomial() (koopmancrc.Polynomial, error) {
 // the server defaults, and the server clamps every field to its
 // configured ceiling.
 type Limits struct {
-	MaxProbes       int64 `json:"max_probes,omitempty"`
-	MaxStoreEntries int   `json:"max_store_entries,omitempty"`
-	MaxPairBuffer   int   `json:"max_pair_buffer,omitempty"`
+	// MaxProbes bounds the probe work of one engine query.
+	MaxProbes int64 `json:"max_probes,omitempty"`
+	// MaxStoreEntries is the store size above which a meet-in-the-middle
+	// join uses the whole-space bitmap instead of a hash table.
+	MaxStoreEntries int `json:"max_store_entries,omitempty"`
+	// MaxPairBuffer bounds the position pairs an exact W4 count
+	// enumerates.
+	MaxPairBuffer int `json:"max_pair_buffer,omitempty"`
 }
 
 // EvaluateRequest asks for the HD-vs-length profile of one polynomial —
