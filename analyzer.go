@@ -68,13 +68,9 @@ type Span struct {
 	Probes   int64
 }
 
-// EvalStats is a snapshot of an Analyzer's accumulated work counters.
-type EvalStats struct {
-	Probes      int64 // subset syndromes tested
-	StoreOps    int64 // subset syndromes inserted
-	EarlyExits  int64 // searches terminated by the first undetectable error
-	Resolutions int64 // store hits re-resolved into explicit witnesses
-}
+// EvalStats is a snapshot of an Analyzer's accumulated work counters:
+// probes, store inserts, early exits and witness resolutions.
+type EvalStats = hamming.Stats
 
 // MemoStats sizes the knowledge an Analyzer session has memoized and the
 // engine work spent acquiring it, letting a pool of sessions report the
@@ -147,20 +143,6 @@ func WithLimits(l Limits) Option {
 	}
 }
 
-// bound is the memoized knowledge about one pattern weight: an exact
-// first-length boundary once discovered, or the tightest proven-clear
-// prefix and cheapest known hit until then. All fields are monotone —
-// queries only ever extend knowledge — which is what makes every
-// Analyzer method safe to answer from the memo.
-type bound struct {
-	clearTo int   // no weight-w pattern at any data length <= clearTo
-	hitAt   int   // 0 if unknown; else a data length with a known pattern
-	witness []int // pattern positions backing hitAt (or first, once exact)
-	first   int   // exact smallest data length with a pattern, if exact
-	exact   bool
-	elapsed time.Duration // cost of the exact boundary search
-}
-
 // Analyzer is a long-lived, concurrency-safe evaluation session for one
 // polynomial. It owns the syndrome tables, period and factorization
 // facts, and memoizes every weight boundary and existence answer it
@@ -179,9 +161,9 @@ type Analyzer struct {
 	// Everything below it is guarded by holding sem.
 	sem    chan struct{}
 	ev     *hamming.Evaluator
-	ctx    context.Context // context of the in-flight call, read by the cancel hook
-	bounds map[int]*bound
-	wts    map[[2]int]uint64 // exact weight memo, keyed by {w, dataLen}
+	ctx    context.Context    // context of the in-flight call, read by the cancel hook
+	bounds map[int]*BoundMemo // weight-boundary memo, in the form snapshots carry
+	wts    map[[2]int]uint64  // exact weight memo, keyed by {w, dataLen}
 	// restoredProbes is the engine work the session's restored knowledge
 	// originally cost (see RestoreMemos); exported snapshots carry it
 	// forward so "cost to rebuild" survives restarts. It is NOT part of
@@ -210,7 +192,7 @@ func NewAnalyzer(p Polynomial, opts ...Option) *Analyzer {
 		p:      p,
 		opt:    newOptions(opts),
 		sem:    make(chan struct{}, 1),
-		bounds: make(map[int]*bound),
+		bounds: make(map[int]*BoundMemo),
 		wts:    make(map[[2]int]uint64),
 	}
 }
@@ -277,10 +259,10 @@ func mapErr(ctx context.Context, err error) error {
 }
 
 // boundLocked returns (creating if needed) the memo entry for weight w.
-func (a *Analyzer) boundLocked(w int) *bound {
+func (a *Analyzer) boundLocked(w int) *BoundMemo {
 	b := a.bounds[w]
 	if b == nil {
-		b = &bound{}
+		b = &BoundMemo{Weight: w}
 		a.bounds[w] = b
 	}
 	return b
@@ -295,13 +277,13 @@ func (a *Analyzer) existsLocked(w, dataLen int) ([]int, bool, error) {
 	}
 	b := a.boundLocked(w)
 	switch {
-	case b.exact && b.first <= dataLen:
-		return b.witness, true, nil
-	case b.exact: // first > dataLen
+	case b.Exact && b.First <= dataLen:
+		return b.Witness, true, nil
+	case b.Exact: // First > dataLen
 		return nil, false, nil
-	case b.hitAt != 0 && b.hitAt <= dataLen:
-		return b.witness, true, nil
-	case b.clearTo >= dataLen:
+	case b.HitAt != 0 && b.HitAt <= dataLen:
+		return b.Witness, true, nil
+	case b.ClearTo >= dataLen:
 		return nil, false, nil
 	}
 	ev, err := a.evaluatorLocked()
@@ -313,11 +295,11 @@ func (a *Analyzer) existsLocked(w, dataLen int) ([]int, bool, error) {
 		return nil, false, err
 	}
 	if found {
-		if b.hitAt == 0 || dataLen < b.hitAt {
-			b.hitAt, b.witness = dataLen, wit
+		if b.HitAt == 0 || dataLen < b.HitAt {
+			b.HitAt, b.Witness = dataLen, wit
 		}
-	} else if dataLen > b.clearTo {
-		b.clearTo = dataLen
+	} else if dataLen > b.ClearTo {
+		b.ClearTo = dataLen
 	}
 	return wit, found, nil
 }
@@ -326,12 +308,12 @@ func (a *Analyzer) existsLocked(w, dataLen int) ([]int, bool, error) {
 // weight-w pattern, searching up to maxLen?" from the memo when
 // possible, running (and memoizing) the exact boundary search otherwise
 // (sem held, a.ctx set).
-func (a *Analyzer) boundaryLocked(w, maxLen int) (*bound, bool, error) {
+func (a *Analyzer) boundaryLocked(w, maxLen int) (*BoundMemo, bool, error) {
 	b := a.boundLocked(w)
-	if b.exact {
-		return b, b.first <= maxLen, nil
+	if b.Exact {
+		return b, b.First <= maxLen, nil
 	}
-	if w == 1 || b.clearTo >= maxLen {
+	if w == 1 || b.ClearTo >= maxLen {
 		return b, false, nil
 	}
 	ev, err := a.evaluatorLocked()
@@ -344,17 +326,40 @@ func (a *Analyzer) boundaryLocked(w, maxLen int) (*bound, bool, error) {
 		return nil, false, err
 	}
 	if found {
-		b.exact, b.first, b.hitAt, b.witness = true, first, first, wit
-		b.elapsed = time.Since(start)
-		if first-1 > b.clearTo {
-			b.clearTo = first - 1
-		}
+		b.Exact, b.First, b.HitAt, b.Witness = true, first, first, wit
+		b.ElapsedNS = time.Since(start).Nanoseconds()
+		b.ClearTo = max(b.ClearTo, first-1)
 		return b, true, nil
 	}
-	if maxLen > b.clearTo {
-		b.clearTo = maxLen
-	}
+	b.ClearTo = max(b.ClearTo, maxLen)
 	return b, false, nil
+}
+
+// scanLocked is the paper's shrinking-limit boundary scan behind
+// Evaluate, MaxLenAtHD and selection (sem held, a.ctx set). For weights
+// 2..maxW in turn it finds the weight's first length within limit, then
+// lowers limit below it: lengths past a lower weight's boundary already
+// have a smaller HD, so a higher weight's exact boundary there is
+// irrelevant — the observation that drives §4.1 inverse filtering. visit
+// sees each boundary found and may stop the scan by returning false.
+// scanLocked returns the limit in force when the scan ended: after a full
+// scan the largest length free of every weight up to maxW, after a stop
+// the limit within which the stopping boundary was found.
+func (a *Analyzer) scanLocked(maxW, limit int, visit func(b *BoundMemo) bool) (int, error) {
+	for w := 2; w <= maxW && limit >= 1; w++ {
+		b, found, err := a.boundaryLocked(w, limit)
+		if err != nil {
+			return 0, err
+		}
+		if !found {
+			continue
+		}
+		if !visit(b) {
+			break
+		}
+		limit = b.First - 1
+	}
+	return limit, nil
 }
 
 // run executes fn with the session locked and the context wired into the
@@ -373,22 +378,17 @@ func (a *Analyzer) run(ctx context.Context, fn func() error) error {
 	err := mapErr(ctx, fn())
 	memo := MemoStats{BoundWeights: len(a.bounds), WeightEntries: len(a.wts)}
 	for _, b := range a.bounds {
-		if b.exact {
+		if b.Exact {
 			memo.ExactBoundaries++
 		}
 	}
-	var s hamming.Stats
+	var s EvalStats
 	if a.ev != nil {
 		s = a.ev.Stats
 	}
 	memo.Probes = s.Probes
 	a.factsMu.Lock()
-	a.stats = EvalStats{
-		Probes:      s.Probes,
-		StoreOps:    s.StoreOps,
-		EarlyExits:  s.EarlyExits,
-		Resolutions: s.Resolutions,
-	}
+	a.stats = s
 	a.memo = memo
 	a.factsMu.Unlock()
 	return err
@@ -409,21 +409,14 @@ func (a *Analyzer) Evaluate(ctx context.Context, maxLen int) (*Report, error) {
 	}
 	var ts []hamming.Transition
 	err := a.run(ctx, func() error {
-		limit := maxLen
-		for w := 2; w <= maxHD && limit >= 1; w++ {
-			b, found, err := a.boundaryLocked(w, limit)
-			if err != nil {
-				return fmt.Errorf("evaluate %v: %w", a.p, err)
-			}
-			if !found {
-				continue
-			}
+		_, err := a.scanLocked(maxHD, maxLen, func(b *BoundMemo) bool {
 			ts = append(ts, hamming.Transition{
-				W: w, FirstLen: b.first, Witness: copyPositions(b.witness), Elapsed: b.elapsed,
+				W: b.Weight, FirstLen: b.First, Witness: copyPositions(b.Witness), Elapsed: time.Duration(b.ElapsedNS),
 			})
-			if b.first-1 < limit {
-				limit = b.first - 1
-			}
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("evaluate %v: %w", a.p, err)
 		}
 		return nil
 	})
@@ -438,7 +431,7 @@ func (a *Analyzer) Evaluate(ctx context.Context, maxLen int) (*Report, error) {
 	return &Report{
 		Poly:        a.p,
 		MaxLen:      maxLen,
-		Bands:       hamming.BandsFromTransitions(ts, maxLen, maxHD),
+		Bands:       hamming.NewBands(ts, maxLen, maxHD),
 		Transitions: ts,
 		Shape:       shape,
 		Period:      period,
@@ -486,18 +479,9 @@ func (a *Analyzer) MaxLenAtHD(ctx context.Context, hd, horizon int) (maxLen int,
 		return 0, false, fmt.Errorf("koopmancrc: invalid horizon %d", horizon)
 	}
 	err = a.run(ctx, func() error {
-		limit := horizon
-		for w := 2; w < hd && limit >= 1; w++ {
-			b, found, err := a.boundaryLocked(w, limit)
-			if err != nil {
-				return err
-			}
-			if found && b.first-1 < limit {
-				limit = b.first - 1
-			}
-		}
+		limit, err := a.scanLocked(hd-1, horizon, func(*BoundMemo) bool { return true })
 		maxLen, ok = limit, limit >= 1
-		return nil
+		return err
 	})
 	if err != nil {
 		return 0, false, err
@@ -566,25 +550,25 @@ func copyPositions(w []int) []int {
 
 // selectionLocked scores the polynomial for protecting messages of the
 // given length, sharing one shrinking-limit boundary scan between the HD
-// determination and the coverage exploration (sem held, a.ctx set).
-// One scan answers both questions; a separate existence query per weight
-// followed by a re-run of every boundary search would give the same
-// answer with strictly more work.
+// determination and the coverage exploration (sem held, a.ctx set): the
+// first boundary at or below dataLen is the HD there, and the limit in
+// force when it was found is how far that HD persists. One scan answers
+// both questions; a separate existence query per weight followed by a
+// re-run of every boundary search would give the same answer with
+// strictly more work.
 func (a *Analyzer) selectionLocked(dataLen, horizon, maxHD int) (Selection, error) {
-	limit := horizon
-	for w := 2; w <= maxHD+1; w++ {
-		b, found, err := a.boundaryLocked(w, limit)
-		if err != nil {
-			return Selection{}, fmt.Errorf("select: %v: %w", a.p, err)
+	hd := maxHD + 1
+	coverage, err := a.scanLocked(maxHD+1, horizon, func(b *BoundMemo) bool {
+		if b.First > dataLen {
+			return true
 		}
-		if found && b.first <= dataLen {
-			return Selection{Poly: a.p, HD: w, CoverageAtHD: limit}, nil
-		}
-		if found && b.first-1 < limit {
-			limit = b.first - 1
-		}
+		hd = b.Weight
+		return false
+	})
+	if err != nil {
+		return Selection{}, fmt.Errorf("select: %v: %w", a.p, err)
 	}
-	return Selection{Poly: a.p, HD: maxHD + 1, CoverageAtHD: limit}, nil
+	return Selection{Poly: a.p, HD: hd, CoverageAtHD: coverage}, nil
 }
 
 // Coverage scores the polynomial at one data-word length: its HD there

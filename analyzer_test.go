@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -387,5 +389,108 @@ func TestAnalyzerSpans(t *testing.T) {
 	}
 	if !phases["w3_scan"] && !phases["w4_scan"] && !phases["boundary"] {
 		t.Errorf("no scan phase spans; saw %v", phases)
+	}
+}
+
+// TestProfileConsistentWithHDAt checks the two ways a session answers
+// "what is the HD at n?" against each other on fresh sessions: the
+// profile Evaluate builds from weight boundaries, and HDAt's per-length
+// existence queries. The bands must also tile [1, maxLen] exactly.
+func TestProfileConsistentWithHDAt(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(909, 9))
+	for trial := 0; trial < 10; trial++ {
+		p, err := ParsePolynomial(8, Koopman, fmt.Sprintf("%#x", 0x80|rng.Uint64N(0x80)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewAnalyzer(p, WithMaxHD(8)).Evaluate(ctx, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 1
+		for _, b := range rep.Bands {
+			if b.From != next || b.To < b.From {
+				t.Fatalf("%v: bad band tiling %+v", p, rep.Bands)
+			}
+			next = b.To + 1
+		}
+		if next != 31 {
+			t.Fatalf("%v: bands end at %d, want 31", p, next)
+		}
+		for _, n := range []int{1, 7, 15, 30} {
+			hd, exact, err := NewAnalyzer(p, WithMaxHD(8)).HDAt(ctx, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, atLeast, ok := rep.HDAt(n)
+			if !ok {
+				t.Fatalf("%v: no band for %d", p, n)
+			}
+			if want != hd || atLeast == exact {
+				t.Fatalf("%v n=%d: profile says HD=%d(atLeast=%v), HDAt says %d(exact=%v)",
+					p, n, want, atLeast, hd, exact)
+			}
+		}
+	}
+}
+
+// TestProfileDeterministic: profiles are reproducible run to run (the
+// EDF factorization uses a fixed-seed RNG; everything else is
+// deterministic), witnesses included.
+func TestProfileDeterministic(t *testing.T) {
+	ctx := context.Background()
+	a, err := NewAnalyzer(CastagnoliISCSI, WithMaxHD(9)).Evaluate(ctx, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewAnalyzer(CastagnoliISCSI, WithMaxHD(9)).Evaluate(ctx, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Bands, b.Bands) {
+		t.Fatalf("bands differ: %+v vs %+v", a.Bands, b.Bands)
+	}
+	for i := range a.Transitions {
+		x, y := a.Transitions[i], b.Transitions[i]
+		if x.W != y.W || x.FirstLen != y.FirstLen || !reflect.DeepEqual(x.Witness, y.Witness) {
+			t.Fatalf("transition %d differs: %+v vs %+v", i, x, y)
+		}
+	}
+}
+
+// TestMaxLenAtHDInverseFilterAnchors: MaxLenAtHD is the paper's §4.1
+// inverse filter. HD=5 holds for the 802.3 polynomial through exactly
+// 2974 bits and HD=6 through 268, while the iSCSI polynomial keeps HD=6
+// to the 1024-bit horizon.
+func TestMaxLenAtHDInverseFilterAnchors(t *testing.T) {
+	ctx := context.Background()
+	tests := []struct {
+		p           Polynomial
+		hd, horizon int
+		want        int
+	}{
+		{IEEE8023, 5, 4096, 2974},
+		{IEEE8023, 6, 1024, 268},
+		{CastagnoliISCSI, 6, 1024, 1024},
+	}
+	for _, tt := range tests {
+		got, ok, err := NewAnalyzer(tt.p).MaxLenAtHD(ctx, tt.hd, tt.horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || got != tt.want {
+			t.Errorf("%v MaxLenAtHD(%d, %d) = %d, %v; want %d", tt.p, tt.hd, tt.horizon, got, ok, tt.want)
+		}
+	}
+}
+
+// TestEvaluateInvalidArguments: an empty length range is rejected (a
+// degenerate depth is TestAnalyzerDegenerateMaxHD's case).
+func TestEvaluateInvalidArguments(t *testing.T) {
+	for _, maxLen := range []int{0, -1} {
+		if _, err := NewAnalyzer(IEEE8023).Evaluate(context.Background(), maxLen); err == nil {
+			t.Errorf("Evaluate(%d) should error", maxLen)
+		}
 	}
 }

@@ -3,9 +3,9 @@ package koopmancrc
 // One benchmark per paper artifact (Table 1, Figure 1, Table 2, the §3/§4.1
 // weight computations) plus ablations of every §4.1 search optimisation:
 // early bailout, FCS-bits-first ordering, filtering with increasing
-// lengths, and the filter-don't-count principle. EXPERIMENTS.md interprets
-// the numbers against the paper's reported shapes (who is faster, by
-// roughly what factor).
+// lengths, and the filter-don't-count principle. The Table 1 and Figure 1
+// benchmarks run through Analyzer.Evaluate, the path cmd/crctables and
+// TestReproduceTable1 use.
 
 import (
 	"context"
@@ -29,8 +29,7 @@ func BenchmarkTable1ProfileColumn(b *testing.B) {
 	for _, col := range poly.Table1() {
 		b.Run(col.P.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev := hamming.New(col.P)
-				if _, err := ev.Profile(2048, 10); err != nil {
+				if _, err := NewAnalyzer(col.P, WithMaxHD(10)).Evaluate(context.Background(), 2048); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,12 +43,11 @@ func BenchmarkTable1ProfileColumn(b *testing.B) {
 // 16360) plus the rest of the column.
 func BenchmarkTable1FullColumnBA0DC66B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ev := hamming.New(poly.Koopman32K)
-		prof, err := ev.Profile(paperdata.MaxComputedBits, 13)
+		rep, err := NewAnalyzer(poly.Koopman32K, WithMaxHD(13)).Evaluate(context.Background(), paperdata.MaxComputedBits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if l, _ := prof.MaxLenAtHD(6); l != 16360 {
+		if l, _ := rep.MaxLenAtHD(6); l != 16360 {
 			b.Fatalf("HD=6 bound %d", l)
 		}
 	}
@@ -60,13 +58,12 @@ func BenchmarkTable1FullColumnBA0DC66B(b *testing.B) {
 func BenchmarkFigure1Series(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, col := range poly.Table1() {
-			ev := hamming.New(col.P)
-			prof, err := ev.Profile(1024, 10)
+			rep, err := NewAnalyzer(col.P, WithMaxHD(10)).Evaluate(context.Background(), 1024)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for l := 64; l <= 1024; l *= 2 {
-				if _, _, ok := prof.HDAtLen(l); !ok {
+				if _, _, ok := rep.HDAt(l); !ok {
 					b.Fatal("missing band")
 				}
 			}

@@ -5,12 +5,14 @@
 //	-artifact figure1  Figure 1 (HD vs data-word length step series)
 //	-artifact weights  §3/§4.1 exact weight anchors (W4 = 223059 at MTU, ...)
 //	-artifact table2   scaled Table 2 analog: exhaustive census of a small
-//	                   width by factorization class (see DESIGN.md §4)
+//	                   width by factorization class (see the README's
+//	                   "Deviations from the paper")
 //	-artifact table2spot  32-bit Table 2 spot verification: class
 //	                   representatives and excluded classes at MTU length
 //	-artifact all      everything above
 //
 // Reduced runs for quick checks: -maxlen limits Table 1/Figure 1 lengths.
+// Table 1 and Figure 1 share one profile of each column.
 package main
 
 import (
@@ -46,11 +48,19 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var profs []*koopmancrc.Report
+	switch *artifact {
+	case "table1", "figure1", "all":
+		var err error
+		if profs, err = profiles(*maxLen); err != nil {
+			return err
+		}
+	}
 	switch *artifact {
 	case "table1":
-		return table1(*maxLen)
+		return table1(*maxLen, profs)
 	case "figure1":
-		return figure1(*maxLen)
+		return figure1(*maxLen, profs)
 	case "weights":
 		return weights()
 	case "table2":
@@ -59,8 +69,8 @@ func run(args []string) error {
 		return table2spot(*spotSamples)
 	case "all":
 		for _, f := range []func() error{
-			func() error { return table1(*maxLen) },
-			func() error { return figure1(*maxLen) },
+			func() error { return table1(*maxLen, profs) },
+			func() error { return figure1(*maxLen, profs) },
 			weights,
 			func() error { return table2(*censusWidth, *censusLen) },
 			func() error { return table2spot(*spotSamples) },
@@ -75,30 +85,26 @@ func run(args []string) error {
 	}
 }
 
-// profiles computes all Table 1 columns once (capped at maxLen).
-func profiles(maxLen int) ([]paperdata.Column, []*hamming.Profile, error) {
+// profiles evaluates every Table 1 column (capped at maxLen), in the
+// order of paperdata.Table1Columns.
+func profiles(maxLen int) ([]*koopmancrc.Report, error) {
 	cols := paperdata.Table1Columns()
-	out := make([]*hamming.Profile, len(cols))
+	out := make([]*koopmancrc.Report, len(cols))
 	for i, col := range cols {
 		start := time.Now()
-		ev := hamming.New(col.P)
-		prof, err := ev.Profile(maxLen, col.MaxHD)
+		rep, err := koopmancrc.NewAnalyzer(col.P, koopmancrc.WithMaxHD(col.MaxHD)).Evaluate(context.Background(), maxLen)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", col.Label, err)
+			return nil, fmt.Errorf("%s: %w", col.Label, err)
 		}
-		out[i] = prof
+		out[i] = rep
 		fmt.Fprintf(os.Stderr, "# profiled %-28s in %v\n", col.Label, time.Since(start).Round(time.Millisecond))
 	}
-	return cols, out, nil
+	return out, nil
 }
 
-func table1(maxLen int) error {
+func table1(maxLen int, profs []*koopmancrc.Report) error {
 	fmt.Printf("## Table 1 — message lengths (bits) for which each HD is achieved (computed to %d)\n\n", maxLen)
-	cols, profs, err := profiles(maxLen)
-	if err != nil {
-		return err
-	}
-	for i, col := range cols {
+	for i, col := range paperdata.Table1Columns() {
 		fmt.Printf("### %s  %s  %s\n", col.Label, col.P, col.Shape)
 		for _, b := range profs[i].Bands {
 			ge := ""
@@ -109,7 +115,7 @@ func table1(maxLen int) error {
 		}
 		if maxLen == paperdata.MaxComputedBits {
 			fmt.Println("  paper comparison:")
-			for _, r := range paperdata.CompareProfile(col, profs[i]) {
+			for _, r := range paperdata.CompareProfile(col, profs[i].Bands) {
 				mark := "MATCH"
 				if !r.Match {
 					mark = "MISMATCH"
@@ -123,12 +129,9 @@ func table1(maxLen int) error {
 	return nil
 }
 
-func figure1(maxLen int) error {
+func figure1(maxLen int, profs []*koopmancrc.Report) error {
 	fmt.Printf("## Figure 1 — HD vs data-word length (step series, log-x), computed to %d bits\n\n", maxLen)
-	cols, profs, err := profiles(maxLen)
-	if err != nil {
-		return err
-	}
+	cols := paperdata.Table1Columns()
 	// The marked lengths of Figure 1 plus powers of two.
 	marks := []int{paperdata.AckDataBits, paperdata.Ack512DataBits, paperdata.MTUDataBits,
 		2 * paperdata.MTUDataBits, 4 * paperdata.MTUDataBits, paperdata.JumboDataBits}
@@ -150,7 +153,7 @@ func figure1(maxLen int) error {
 	for _, l := range lengths {
 		fmt.Printf("%-10d", l)
 		for i := range cols {
-			hd, atLeast, ok := profs[i].HDAtLen(l)
+			hd, atLeast, ok := profs[i].HDAt(l)
 			cell := "-"
 			if ok {
 				if atLeast {
@@ -210,7 +213,7 @@ func weights() error {
 func table2(width, censusLen int) error {
 	fmt.Printf("## Table 2 analog — exhaustive width-%d census: polynomials with HD=6 at %d data bits\n",
 		width, censusLen)
-	fmt.Println("   (scaled substitution for the paper's 2^30-polynomial campaign; see DESIGN.md §4)")
+	fmt.Println("   (scaled substitution for the paper's 2^30-polynomial campaign; see the README's \"Deviations from the paper\")")
 	schedule := []int{}
 	for l := 16; l < censusLen; l *= 4 {
 		schedule = append(schedule, l)

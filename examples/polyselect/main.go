@@ -16,7 +16,7 @@ import (
 func main() {
 	// Short frames rank all eight Table 1 polynomials; the longer profiles
 	// use a shortlist because coverage exploration at 32K-bit boundaries
-	// costs tens of seconds per HD=6 candidate (see EXPERIMENTS.md).
+	// costs tens of seconds per HD=6 candidate.
 	apps := []struct {
 		name       string
 		bits       int

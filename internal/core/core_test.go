@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"koopmancrc/internal/hamming"
@@ -343,47 +344,62 @@ func TestCensus(t *testing.T) {
 	}
 }
 
+// TestInverseFilterAnchors pins the §4.1 inverse-filtering answers to
+// the filter predicate that produced them: HD=5 holds for the 802.3
+// polynomial through exactly 2974 bits, HD=6 through 268, and the iSCSI
+// polynomial keeps HD=6 at the 1024-bit cap. (koopmancrc's
+// TestMaxLenAtHDInverseFilterAnchors checks the same values through
+// Analyzer.MaxLenAtHD.)
 func TestInverseFilterAnchors(t *testing.T) {
-	// §4.1: inverse filtering established maximum lengths; for the 802.3
-	// polynomial HD=5 holds through exactly 2974 bits, and for the iSCSI
-	// polynomial HD=6 through 5243 bits.
-	res, err := InverseFilter([]poly.P{poly.IEEE8023}, 5, 4096)
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		p      poly.P
+		minHD  int
+		length int
+		keep   bool
+	}{
+		{poly.IEEE8023, 5, 2974, true},
+		{poly.IEEE8023, 5, 2975, false},
+		{poly.IEEE8023, 6, 268, true},
+		{poly.IEEE8023, 6, 269, false},
+		{poly.IEEE8023, 6, 1024, false},
+		{poly.CastagnoliISCSI, 6, 1024, true},
 	}
-	if res.MaxLen != 2974 {
-		t.Errorf("802.3 max length at HD=5 = %d, want 2974", res.MaxLen)
-	}
-	res, err = InverseFilter([]poly.P{poly.IEEE8023, poly.CastagnoliISCSI}, 6, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLen != 1024 || res.Best != poly.CastagnoliISCSI {
-		t.Errorf("best at HD=6 = %v len %d, want iSCSI poly at cap 1024", res.Best, res.MaxLen)
-	}
-	if res.PerPoly[poly.IEEE8023.String()] != 268 {
-		t.Errorf("802.3 max at HD=6 = %d, want 268", res.PerPoly[poly.IEEE8023.String()])
+	for _, tt := range tests {
+		f := HDFilter{Lengths: []int{tt.length}, MinHD: tt.minHD, Engine: EngineFast}
+		keep, err := f.Keep(hamming.New(tt.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep != tt.keep {
+			t.Errorf("%v HD>=%d at %d = %v, want %v", tt.p, tt.minHD, tt.length, keep, tt.keep)
+		}
 	}
 }
 
+// TestImplicitConfirmHeuristic is the paper's §4.1 timeout heuristic in
+// budget form: a paper-faithful brute-force filter that runs out of its
+// probe budget is implicit confirmation that the HD holds (early bailout
+// would have fired quickly otherwise), which the fast engine then
+// confirms exactly.
 func TestImplicitConfirmHeuristic(t *testing.T) {
-	// CCITT-16 at 32751 bits: the brute-force weight-3 pass needs ~5*10^8
-	// combinations, far beyond the budget, so the timeout heuristic fires
-	// and exact verification agrees (HD>=4 holds).
-	ok, implicit, agreed, err := ImplicitConfirm(poly.CCITT16, 32751, 4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	const budget = 1 << 20
+	brute := func(length int) HDFilter {
+		return HDFilter{Lengths: []int{length}, MinHD: 4, Engine: EngineBruteFCSFirst}
 	}
-	if !ok || !implicit || !agreed {
-		t.Errorf("ImplicitConfirm(32751) = ok=%v implicit=%v agreed=%v", ok, implicit, agreed)
+	fast := HDFilter{Lengths: []int{32751}, MinHD: 4, Engine: EngineFast}
+	// CCITT-16 at 32751 bits: the brute-force weight-3 pass needs ~5*10^8
+	// combinations, far beyond the budget, so the heuristic fires and
+	// exact verification agrees (HD>=4 holds).
+	if _, err := brute(32751).Keep(hamming.New(poly.CCITT16, hamming.WithMaxProbes(budget))); !errors.Is(err, hamming.ErrBudgetExceeded) {
+		t.Fatalf("brute filter at 32751: err = %v, want the budget to run out", err)
+	}
+	if ok, err := fast.Keep(hamming.New(poly.CCITT16)); err != nil || !ok {
+		t.Fatalf("exact filter at 32751 = %v, %v; want HD>=4 confirmed", ok, err)
 	}
 	// At 32752 the weight-2 failure {0, 32767} is found within budget:
 	// quick rejection, no heuristic needed.
-	ok, implicit, _, err = ImplicitConfirm(poly.CCITT16, 32752, 4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || implicit {
-		t.Errorf("ImplicitConfirm(32752) = ok=%v implicit=%v, want quick rejection", ok, implicit)
+	ok, err := brute(32752).Keep(hamming.New(poly.CCITT16, hamming.WithMaxProbes(budget)))
+	if err != nil || ok {
+		t.Fatalf("brute filter at 32752 = %v, %v; want a quick rejection", ok, err)
 	}
 }

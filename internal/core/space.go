@@ -1,8 +1,10 @@
 // Package core implements the paper's central contribution: enumeration and
 // filtering of the complete CRC polynomial design space. It provides the
 // candidate space with reciprocal-pair deduplication (§3), the multi-stage
-// filtering pipeline with the §4.1 optimisations, inverse filtering, and the
-// factorization-class census behind Table 2.
+// filtering pipeline with the §4.1 optimisations, and the
+// factorization-class census behind Table 2. Inverse filtering — the
+// largest length at which one polynomial keeps an HD — is
+// koopmancrc.Analyzer.MaxLenAtHD.
 package core
 
 import (

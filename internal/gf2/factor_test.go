@@ -121,12 +121,13 @@ func TestFactorizeIrreduciblePaperPolynomials(t *testing.T) {
 	// The 802.3 generator is irreducible. The paper's parenthetical calls it
 	// "irreducible, but not primitive"; our order computation — validated
 	// against direct simulation and the seven Table-1-implied periods — finds
-	// ord(x) = 2^32-1, i.e. primitive. EXPERIMENTS.md records the deviation.
+	// ord(x) = 2^32-1, i.e. primitive. The README's "Deviations from the
+	// paper" records the deviation.
 	if !IsIrreducible(fullPoly(0x82608EDB)) {
 		t.Error("0x82608EDB: expected irreducible")
 	}
 	if !IsPrimitive(fullPoly(0x82608EDB)) {
-		t.Error("0x82608EDB: computed order should be 2^32-1 (primitive); see EXPERIMENTS.md")
+		t.Error("0x82608EDB: computed order should be 2^32-1 (primitive); see TestOrderOfX8023")
 	}
 	// The degree-31 factor of the iSCSI polynomial is primitive (the paper's
 	// {1,31} class restricted the large factor to primitive polynomials).

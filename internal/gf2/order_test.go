@@ -38,8 +38,9 @@ func TestOrderOfXPaperAnchors(t *testing.T) {
 func TestOrderOfX8023(t *testing.T) {
 	// Our computation finds the 802.3 generator has the maximal period
 	// 2^32-1 (primitive). The paper's parenthetical says "not primitive";
-	// the deviation is recorded in EXPERIMENTS.md. Either way the period is
-	// consistent with Table 1 (no HD=2 transition within 131072 bits).
+	// the README's "Deviations from the paper" records the deviation.
+	// Either way the period is consistent with Table 1 (no HD=2
+	// transition within 131072 bits).
 	period, err := OrderOfX(fullPoly(0x82608EDB))
 	if err != nil {
 		t.Fatal(err)

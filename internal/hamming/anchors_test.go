@@ -42,81 +42,76 @@ func TestAnchor8023Breakpoint(t *testing.T) {
 	}
 }
 
+// boundary is one step of the shrinking-limit scan that builds a Table 1
+// column: the first length (0 for none) of a weight-w pattern within the
+// limit the lower weights' boundaries leave.
+type boundary struct{ w, limit, first int }
+
+// checkBoundaries runs each step through FirstDataLen.
+func checkBoundaries(t *testing.T, e *Evaluator, steps []boundary) {
+	t.Helper()
+	for _, s := range steps {
+		first, wit, found, err := e.FirstDataLen(s.w, s.limit)
+		if err != nil {
+			t.Fatalf("FirstDataLen(%d, %d): %v", s.w, s.limit, err)
+		}
+		if !found {
+			first = 0
+		}
+		if first != s.first {
+			t.Errorf("weight-%d boundary within %d = %d, want %d", s.w, s.limit, first, s.first)
+		}
+		if found && len(wit) != s.w {
+			t.Errorf("weight-%d witness %v", s.w, wit)
+		}
+	}
+}
+
+// checkHDThrough checks that HD >= hd holds through exactly maxLen bits:
+// the column's band end, and the answer §4.1 inverse filtering gives.
+func checkHDThrough(t *testing.T, e *Evaluator, hd, maxLen int) {
+	t.Helper()
+	for n, want := range map[int]bool{maxLen: true, maxLen + 1: false} {
+		ok, err := e.MeetsHD(n, hd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != want {
+			t.Errorf("HD>=%d at %d bits = %v, want %v", hd, n, ok, want)
+		}
+	}
+}
+
 func TestAnchor8023Bands(t *testing.T) {
 	// Prose: "the 802.3 polynomial has a HD greater than or equal to 8 up
 	// to a data word length of 91 bits, HD=7 to 171 bits, HD=6 to 268 bits,
 	// HD=5 to 2974 bits".
 	e := New(poly.IEEE8023)
-	prof, err := e.Profile(4096, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBoundaries := map[int]int{5: 269, 6: 172, 7: 92, 4: 2975}
-	for _, tr := range prof.Transitions {
-		if want, ok := wantBoundaries[tr.W]; ok && tr.FirstLen != want {
-			t.Errorf("weight-%d boundary = %d, want %d", tr.W, tr.FirstLen, want)
-		}
-	}
-	checks := []struct {
-		hd, maxLen int
-	}{{8, 91}, {7, 171}, {6, 268}, {5, 2974}}
-	for _, c := range checks {
-		got, ok := prof.MaxLenAtHD(c.hd)
-		if !ok || got != c.maxLen {
-			t.Errorf("MaxLenAtHD(%d) = %d,%v, want %d", c.hd, got, ok, c.maxLen)
-		}
+	checkBoundaries(t, e, []boundary{
+		{2, 4096, 0}, {3, 4096, 0}, {4, 4096, 2975}, {5, 2974, 269}, {6, 268, 172}, {7, 171, 92},
+	})
+	for hd, maxLen := range map[int]int{8: 91, 7: 171, 6: 268, 5: 2974} {
+		checkHDThrough(t, e, hd, maxLen)
 	}
 }
 
 func TestAnchorISCSIBands(t *testing.T) {
 	// Table 1 column 2 (0x8F6E37A0): HD=8 for 48-177, HD=6 for 178-5243,
 	// HD=4 from 5244 — "only has HD=6 up to less than half an Ethernet MTU".
-	e := New(poly.CastagnoliISCSI)
-	prof, err := e.Profile(8192, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]int{4: 5244, 6: 178, 8: 48}
-	got := map[int]int{}
-	for _, tr := range prof.Transitions {
-		got[tr.W] = tr.FirstLen
-	}
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("weight-%d boundary = %d, want %d", w, got[w], n)
-		}
-	}
-	if _, found := got[3]; found {
-		t.Error("odd weight boundary found for (x+1)-divisible polynomial")
-	}
-	if l, ok := prof.MaxLenAtHD(6); !ok || l != 5243 {
-		t.Errorf("MaxLenAtHD(6) = %d, want 5243", l)
-	}
+	// Odd weights never occur: the polynomial is divisible by (x+1). The
+	// chain itself shows HD>=6 through exactly 5243 bits: no weight below
+	// 4 within 8192, weight 4 from 5244, no weight 5 within 5243.
+	checkBoundaries(t, New(poly.CastagnoliISCSI), []boundary{
+		{2, 8192, 0}, {3, 8192, 0}, {4, 8192, 5244}, {5, 5243, 0}, {6, 5243, 178}, {7, 177, 0}, {8, 177, 48},
+	})
 }
 
 func TestAnchorBA0DC66BShortBands(t *testing.T) {
 	// Table 1 column 3 (0xBA0DC66B): HD=8 for 19-152, HD=6 from 153 (the
 	// 16360 upper end is exercised in the full Table 1 reproduction).
-	e := New(poly.Koopman32K)
-	prof, err := e.Profile(1024, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int]int{}
-	for _, tr := range prof.Transitions {
-		got[tr.W] = tr.FirstLen
-	}
-	if got[6] != 153 {
-		t.Errorf("weight-6 boundary = %d, want 153", got[6])
-	}
-	if got[8] != 19 {
-		t.Errorf("weight-8 boundary = %d, want 19", got[8])
-	}
-	for _, w := range []int{3, 5, 7} {
-		if _, ok := got[w]; ok {
-			t.Errorf("unexpected odd weight-%d boundary", w)
-		}
-	}
+	checkBoundaries(t, New(poly.Koopman32K), []boundary{
+		{2, 1024, 0}, {3, 1024, 0}, {4, 1024, 0}, {5, 1024, 0}, {6, 1024, 153}, {7, 152, 0}, {8, 152, 19},
+	})
 }
 
 func TestAnchorCastagnoliErratum(t *testing.T) {
@@ -124,17 +119,11 @@ func TestAnchorCastagnoliErratum(t *testing.T) {
 	// length of only 382 bits and so should not be used". Both of our
 	// engines (meet-in-the-middle and paper-faithful brute force)
 	// independently find the first weight-5 pattern at 384 bits — HD=6
-	// through 383, one bit past the paper's prose. EXPERIMENTS.md records
-	// the deviation; the paper's point (HD=6 collapses around ~0.4 Kbit
-	// instead of ~32 Kbit) reproduces exactly.
+	// through 383, one bit past the paper's prose (the README's "Deviations
+	// from the paper" records it); the paper's point (HD=6 collapses
+	// around ~0.4 Kbit instead of ~32 Kbit) reproduces exactly.
 	e := New(poly.CastagnoliMisprint)
-	prof, err := e.Profile(1024, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, ok := prof.MaxLenAtHD(6); !ok || l != 383 {
-		t.Fatalf("misprint MaxLenAtHD(6) = %d,%v, want 383 (paper prose: 382)", l, ok)
-	}
+	checkHDThrough(t, e, 6, 383) // paper prose: 382
 	// Cross-check with the paper-faithful engine at the boundary.
 	if _, found, err := e.ExistsBrute(5, 383, OrderLex); err != nil || found {
 		t.Fatalf("brute Exists(5, 383) = %v, %v; want none", found, err)
@@ -204,13 +193,18 @@ func TestAnchorMTUHammingDistances(t *testing.T) {
 		{poly.KoopmanSparse5, 5},
 	}
 	for _, tt := range tests {
+		// HD is exactly want: no lighter pattern fits, a weight-want one does.
 		e := New(tt.p)
-		hd, exact, err := e.HDAt(12112, 7)
+		ok, err := e.MeetsHD(12112, tt.want)
 		if err != nil {
 			t.Fatalf("%v: %v", tt.p, err)
 		}
-		if !exact || hd != tt.want {
-			t.Errorf("HD(%v @ MTU) = %d (exact=%v), want %d", tt.p, hd, exact, tt.want)
+		_, found, err := e.Exists(tt.want, 12112)
+		if err != nil {
+			t.Fatalf("%v: %v", tt.p, err)
+		}
+		if !ok || !found {
+			t.Errorf("HD(%v @ MTU) != %d: HD>=%d %v, weight-%d pattern %v", tt.p, tt.want, tt.want, ok, tt.want, found)
 		}
 	}
 }
@@ -221,11 +215,13 @@ func TestAnchorW4AtMTU(t *testing.T) {
 	}
 	// §3: the 802.3 CRC at 12112 bits has weights {W2=0, W3=0, W4=223059}.
 	e := New(poly.IEEE8023)
-	ws, err := e.Weights(12112, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws[0] != 0 || ws[1] != 0 || ws[2] != 223059 {
-		t.Fatalf("weights at MTU = %v, want [0 0 223059]", ws)
+	for w, want := range map[int]uint64{2: 0, 3: 0, 4: 223059} {
+		got, err := e.Weight(w, 12112)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("W%d at MTU = %d, want %d", w, got, want)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func (e *Evaluator) firstLen3(maxLen int) (int, []int, bool, error) {
 		}
 		if a := m.get(syn[c]); a >= 0 && int(a) != c {
 			wit := []int{0, int(a), c}
-			if err := e.verifyWitness(3, n, wit); err != nil {
+			if err := e.VerifyWitness(3, n, wit); err != nil {
 				return 0, nil, false, err
 			}
 			e.Stats.EarlyExits++
@@ -122,7 +122,7 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 				if ia > b {
 					wit = []int{0, b, ia, c}
 				}
-				if err := e.verifyWitness(4, n, wit); err != nil {
+				if err := e.VerifyWitness(4, n, wit); err != nil {
 					return 0, nil, false, err
 				}
 				e.Stats.EarlyExits++
@@ -183,7 +183,7 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 			}
 			if wit != nil {
 				endProbe()
-				if err := e.verifyWitness(w, c+1, wit); err != nil {
+				if err := e.VerifyWitness(w, c+1, wit); err != nil {
 					return 0, nil, false, err
 				}
 				e.Stats.EarlyExits++
@@ -249,23 +249,6 @@ func (e *Evaluator) firstLenSearch(w, maxLen int, s Strategy) (int, []int, bool,
 		}
 	}
 	return hi, hiWitness, true, nil
-}
-
-// HDAt returns the exact Hamming distance at the given data-word length,
-// searching weights up to maxHD. If no undetectable pattern of weight <=
-// maxHD exists, it returns maxHD+1 with exact = false (the true HD is at
-// least that).
-func (e *Evaluator) HDAt(dataLen, maxHD int) (hd int, exact bool, err error) {
-	for w := 2; w <= maxHD; w++ {
-		_, found, err := e.Exists(w, dataLen)
-		if err != nil {
-			return 0, false, err
-		}
-		if found {
-			return w, true, nil
-		}
-	}
-	return maxHD + 1, false, nil
 }
 
 // MeetsHD reports whether the polynomial attains at least the given Hamming

@@ -107,7 +107,7 @@ func TestExistsBruteMatchesFastEngine(t *testing.T) {
 						t.Fatalf("%v w=%d n=%d order=%d: brute=%v fast=%v", p, w, n, order, got, want)
 					}
 					if got {
-						if err := e.verifyWitness(w, e.codewordLen(n), wit); err != nil {
+						if err := e.VerifyWitness(w, e.codewordLen(n), wit); err != nil {
 							t.Fatalf("brute witness invalid: %v", err)
 						}
 					}
@@ -180,7 +180,7 @@ func TestFirstDataLenMatchesBruteScan(t *testing.T) {
 				t.Fatalf("%v w=%d: FirstDataLen=%d, brute scan=%d (witness %v)", p, w, got, want, wit)
 			}
 			if found {
-				if err := e.verifyWitness(w, e.codewordLen(got), wit); err != nil {
+				if err := e.VerifyWitness(w, e.codewordLen(got), wit); err != nil {
 					t.Fatalf("%v w=%d: %v", p, w, err)
 				}
 			}
@@ -218,7 +218,7 @@ func TestStrategiesAgree(t *testing.T) {
 				t.Fatalf("%v w=%d: scan=(%d,%v) increasing=(%d,%v) direct=(%d,%v)", p, w, n0, f0, n1, f1, n2, f2)
 			}
 			if f0 {
-				if err := e.verifyWitness(w, e.codewordLen(n0), wit); err != nil {
+				if err := e.VerifyWitness(w, e.codewordLen(n0), wit); err != nil {
 					t.Fatalf("%v w=%d: %v", p, w, err)
 				}
 			}
@@ -321,43 +321,6 @@ func TestWeightsNonDecreasingInLength(t *testing.T) {
 	}
 }
 
-func TestProfileConsistentWithHDAt(t *testing.T) {
-	rng := rand.New(rand.NewPCG(909, 9))
-	for trial := 0; trial < 10; trial++ {
-		p := randPoly(rng, 8)
-		e := New(p)
-		prof, err := e.Profile(30, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bands must tile [1, 30] exactly.
-		next := 1
-		for _, b := range prof.Bands {
-			if b.From != next || b.To < b.From {
-				t.Fatalf("%v: bad band tiling %+v", p, prof.Bands)
-			}
-			next = b.To + 1
-		}
-		if next != 31 {
-			t.Fatalf("%v: bands end at %d, want 31", p, next)
-		}
-		for _, n := range []int{1, 7, 15, 30} {
-			hd, exact, err := e.HDAt(n, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, atLeast, ok := prof.HDAtLen(n)
-			if !ok {
-				t.Fatalf("%v: no band for %d", p, n)
-			}
-			if want != hd || atLeast == exact {
-				t.Fatalf("%v n=%d: profile says HD=%d(atLeast=%v), HDAt says %d(exact=%v)",
-					p, n, want, atLeast, hd, exact)
-			}
-		}
-	}
-}
-
 func TestBandsFromTransitionsSynthetic(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -403,7 +366,7 @@ func TestBandsFromTransitionsSynthetic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := bandsFromTransitions(tt.ts, tt.maxLen, tt.maxHD)
+			got := NewBands(tt.ts, tt.maxLen, tt.maxHD)
 			if len(got) != len(tt.want) {
 				t.Fatalf("bands = %+v, want %+v", got, tt.want)
 			}
@@ -411,6 +374,20 @@ func TestBandsFromTransitionsSynthetic(t *testing.T) {
 				if got[i] != tt.want[i] {
 					t.Fatalf("band %d = %+v, want %+v", i, got[i], tt.want[i])
 				}
+			}
+			// The lookups read the same bands back.
+			for _, b := range tt.want {
+				for _, n := range []int{b.From, b.To} {
+					if hd, atLeast, ok := got.HDAt(n); !ok || hd != b.HD || atLeast != b.AtLeast {
+						t.Errorf("HDAt(%d) = %d,%v,%v, want band %+v", n, hd, atLeast, ok, b)
+					}
+				}
+				if l, ok := got.MaxLenAtHD(b.HD); !ok || l < b.To {
+					t.Errorf("MaxLenAtHD(%d) = %d,%v, want at least %d", b.HD, l, ok, b.To)
+				}
+			}
+			if _, _, ok := got.HDAt(tt.maxLen + 1); ok {
+				t.Errorf("HDAt(%d) past the profile answered", tt.maxLen+1)
 			}
 		})
 	}
@@ -440,12 +417,6 @@ func TestInvalidArguments(t *testing.T) {
 	}
 	if _, err := e.Weight(5, 10); err == nil {
 		t.Error("Weight(5,...) should error (exact weights limited to w<=4)")
-	}
-	if _, err := e.Profile(0, 6); err == nil {
-		t.Error("Profile(0,...) should error")
-	}
-	if _, err := e.Profile(10, 1); err == nil {
-		t.Error("Profile(...,1) should error")
 	}
 }
 
@@ -660,27 +631,6 @@ func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 					t.Fatalf("witness %v", wit)
 				}
 			}
-		}
-	}
-}
-
-func TestProfileDeterministic(t *testing.T) {
-	// Profiles must be reproducible run to run (the EDF factorization uses
-	// a fixed-seed RNG; everything else is deterministic).
-	a, err := New(poly.CastagnoliISCSI).Profile(600, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(poly.CastagnoliISCSI).Profile(600, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Bands) != len(b.Bands) {
-		t.Fatalf("band counts differ: %d vs %d", len(a.Bands), len(b.Bands))
-	}
-	for i := range a.Bands {
-		if a.Bands[i] != b.Bands[i] {
-			t.Fatalf("band %d differs: %+v vs %+v", i, a.Bands[i], b.Bands[i])
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package hamming computes the error-detection performance of CRC generator
-// polynomials: undetectable-error weights, Hamming-distance boundaries and
-// the HD-vs-length band profiles of the paper's Table 1 and Figure 1.
+// polynomials: undetectable-error weights and Hamming-distance boundaries.
+// koopmancrc.Analyzer turns the boundaries into the HD-vs-length Bands of
+// the paper's Table 1 and Figure 1; this package only defines that type
+// and its lookups.
 //
 // # Model
 //
@@ -24,7 +26,7 @@
 // # Engines
 //
 // Two engines are provided. The fast engine (Exists, FirstDataLen, Weight,
-// Profile) exploits the syndrome formulation; the brute-force engine
+// MeetsHD) exploits the syndrome formulation; the brute-force engine
 // (ExistsBrute, WeightBrute) enumerates bit patterns exactly as the paper's
 // software did — including the FCS-bits-first ordering and early-bailout
 // optimisations of §4.1 — and serves as the reference implementation the
@@ -44,6 +46,7 @@ import (
 	"fmt"
 	"time"
 
+	"koopmancrc/internal/gf2"
 	"koopmancrc/internal/poly"
 )
 
@@ -282,6 +285,16 @@ func (e *Evaluator) step(s uint32) uint32 {
 		s ^= e.normal
 	}
 	return s
+}
+
+// syndrome returns x^pos mod G, from the table when it already reaches
+// pos and by square-and-multiply otherwise, so checking a far-out
+// position does not grow the table.
+func (e *Evaluator) syndrome(pos int) uint32 {
+	if pos < len(e.syn) {
+		return e.syn[pos]
+	}
+	return uint32(gf2.ExpMod(gf2.X, uint64(pos), e.p.Full()))
 }
 
 // syndromes returns the syndrome table extended to at least n entries.

@@ -81,7 +81,7 @@ func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
 			return nil, false, err
 		}
 		if wit != nil {
-			if err := e.verifyWitness(w, n, wit); err != nil {
+			if err := e.VerifyWitness(w, n, wit); err != nil {
 				return nil, false, err
 			}
 			e.Stats.EarlyExits++
@@ -99,21 +99,23 @@ func splitWeight(w int) (p, q int) {
 	return p, w - 1 - p
 }
 
-// verifyWitness defensively re-checks a reported pattern: correct weight,
-// in-range sorted distinct positions, zero syndrome.
-func (e *Evaluator) verifyWitness(w, n int, witness []int) error {
+// VerifyWitness checks that witness is an undetectable pattern of exactly
+// w bits within an n-bit codeword: w ascending, distinct positions in
+// [0, n) whose syndromes cancel. The engine re-checks every pattern it
+// reports with it, and memo restores check the patterns they are handed.
+func (e *Evaluator) VerifyWitness(w, n int, witness []int) error {
 	if len(witness) != w {
-		return fmt.Errorf("hamming: internal error: witness size %d != weight %d", len(witness), w)
+		return fmt.Errorf("hamming: witness %v has %d positions, want %d", witness, len(witness), w)
 	}
 	var acc uint32
 	for i, pos := range witness {
 		if pos < 0 || pos >= n || (i > 0 && pos <= witness[i-1]) {
-			return fmt.Errorf("hamming: internal error: bad witness %v", witness)
+			return fmt.Errorf("hamming: witness %v is not ascending distinct positions in [0, %d)", witness, n)
 		}
-		acc ^= e.syn[pos]
+		acc ^= e.syndrome(pos)
 	}
 	if acc != 0 {
-		return fmt.Errorf("hamming: internal error: witness %v has syndrome %#x", witness, acc)
+		return fmt.Errorf("hamming: witness %v has syndrome %#x", witness, acc)
 	}
 	return nil
 }

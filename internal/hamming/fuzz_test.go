@@ -56,7 +56,7 @@ func FuzzBoundaryScan(f *testing.F) {
 		if n < 1 || n > maxLen {
 			t.Fatalf("%v w=%d: boundary %d outside [1, %d]", p, w, n, maxLen)
 		}
-		if err := e.verifyWitness(w, e.codewordLen(n), wit); err != nil {
+		if err := e.VerifyWitness(w, e.codewordLen(n), wit); err != nil {
 			t.Fatalf("%v w=%d boundary %d: %v", p, w, n, err)
 		}
 		if !exists(n) || (n > 1 && exists(n-1)) {

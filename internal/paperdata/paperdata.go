@@ -1,13 +1,14 @@
 // Package paperdata records the quantitative claims of Koopman, "32-Bit
 // Cyclic Redundancy Codes for Internet Applications" (DSN 2002, with the
 // 2014 errata), in machine-checkable form, and compares computed results
-// against them. It is the single source of truth for EXPERIMENTS.md.
+// against them. Where the reproduction departs from the paper, the
+// README's "Deviations from the paper" section says so.
 //
 // Provenance of each anchor is tagged: "prose" (stated in the running
 // text), "table1" (legible Table 1 cell), "errata" (the 2014 correction),
 // "derived" (reconstructed from garbled Table 1 cells via band contiguity
-// and cross-row consistency; see DESIGN.md), or "measured" (our
-// computation; the source cell is illegible).
+// and cross-row consistency), or "measured" (our computation; the source
+// cell is illegible).
 package paperdata
 
 import (
@@ -188,8 +189,9 @@ const (
 	HD6SurvivorsAtMTU = 21292
 	// Table2Sum is what the published Table 2 classes actually add up to.
 	// It disagrees with the prose count by exactly 100 — an internal
-	// inconsistency of the paper that EXPERIMENTS.md documents (we cannot
-	// resolve which figure is correct without the full-space campaign).
+	// inconsistency of the paper that TestTable2ExpectedTotals pins (we
+	// cannot resolve which figure is correct without the full-space
+	// campaign).
 	Table2Sum = 21392
 )
 
@@ -215,11 +217,12 @@ type CheckResult struct {
 	Match    bool
 }
 
-// CompareProfile checks a computed profile against a column's anchors.
-func CompareProfile(col Column, prof *hamming.Profile) []CheckResult {
+// CompareProfile checks a computed profile (koopmancrc.Report.Bands)
+// against a column's anchors.
+func CompareProfile(col Column, bands hamming.Bands) []CheckResult {
 	var out []CheckResult
 	for _, a := range col.Anchors {
-		got, ok := prof.MaxLenAtHD(a.HD)
+		got, ok := bands.MaxLenAtHD(a.HD)
 		name := fmt.Sprintf("%s HD=%d through", col.Label, a.HD)
 		expected := fmt.Sprintf("%d", a.To)
 		if a.Open {

@@ -98,7 +98,7 @@ type Band = hamming.Band
 type Report struct {
 	Poly        Polynomial
 	MaxLen      int
-	Bands       []Band
+	Bands       hamming.Bands // contiguous []Band over [1, MaxLen]
 	Transitions []hamming.Transition
 	Shape       string
 	Period      uint64 // 0 if the period exceeds practical computation
@@ -108,24 +108,11 @@ type Report struct {
 // HDAt returns the report's Hamming distance at a length (atLeast is true
 // when the profile depth truncated the answer).
 func (r *Report) HDAt(dataLen int) (hd int, atLeast bool, ok bool) {
-	for _, b := range r.Bands {
-		if dataLen >= b.From && dataLen <= b.To {
-			return b.HD, b.AtLeast, true
-		}
-	}
-	return 0, false, false
+	return r.Bands.HDAt(dataLen)
 }
 
 // MaxLenAtHD returns the largest length guaranteeing at least hd.
-func (r *Report) MaxLenAtHD(hd int) (int, bool) {
-	best := 0
-	for _, b := range r.Bands {
-		if b.HD >= hd && b.To > best {
-			best = b.To
-		}
-	}
-	return best, best > 0
-}
+func (r *Report) MaxLenAtHD(hd int) (int, bool) { return r.Bands.MaxLenAtHD(hd) }
 
 // Selection scores one candidate for Select.
 type Selection struct {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
+
+	"koopmancrc/internal/hamming"
+	"koopmancrc/internal/poly"
 )
 
 // MemoSnapshotVersion is the schema version stamped into every exported
@@ -13,12 +15,13 @@ import (
 // half-understood.
 const MemoSnapshotVersion = 1
 
-// BoundMemo is the serialized knowledge about one pattern weight: an
-// exact first-length boundary once discovered, or the tightest
-// proven-clear prefix and cheapest known hit until then. It mirrors the
-// Analyzer's internal bound memo, and the same monotonicity holds — a
-// BoundMemo only ever states facts about the polynomial, so merging two
-// of them is a pure union of knowledge.
+// BoundMemo is the knowledge about one pattern weight: an exact
+// first-length boundary once discovered, or the tightest proven-clear
+// prefix and cheapest known hit until then. It is both the Analyzer's
+// live memo entry and its serialized form. A BoundMemo only ever states
+// facts about the polynomial, and queries only ever extend them, which is
+// what makes every Analyzer method safe to answer from the memo and
+// merging two BoundMemos a pure union of knowledge.
 type BoundMemo struct {
 	Weight int `json:"weight"`
 	// ClearTo: no weight-Weight pattern exists at any data length <=
@@ -90,11 +93,12 @@ func (m *MemoSnapshot) Clone() *MemoSnapshot {
 
 // Validate checks the snapshot's internal consistency: version and
 // width in range, weights sane, exact boundaries with a positive first
-// length, and no clear-prefix contradicting a known hit. A snapshot
-// read from a CRC-protected corpus can only fail this through a
-// software bug or schema drift, never silent disk corruption — but a
-// restore must still refuse it, because a corrupt memo would be served
-// as truth.
+// length, no clear-prefix contradicting a known hit, and every hit
+// backed by a witness that is a genuine undetectable pattern of the
+// polynomial fitting the hit's length. A snapshot read from a
+// CRC-protected corpus can only fail this through a software bug, schema
+// drift or a forged record, never silent disk corruption — but a restore
+// must still refuse it, because a corrupt memo would be served as truth.
 func (m *MemoSnapshot) Validate() error {
 	if m == nil {
 		return fmt.Errorf("koopmancrc: nil memo snapshot")
@@ -108,6 +112,7 @@ func (m *MemoSnapshot) Validate() error {
 	if m.Probes < 0 {
 		return fmt.Errorf("koopmancrc: memo snapshot has negative probe count %d", m.Probes)
 	}
+	var ev *hamming.Evaluator // built for the first witness to check
 	for i, b := range m.Bounds {
 		if b.Weight < 2 {
 			return fmt.Errorf("koopmancrc: bounds[%d]: weight %d below 2", i, b.Weight)
@@ -122,11 +127,24 @@ func (m *MemoSnapshot) Validate() error {
 		if b.Exact {
 			hit = b.First
 		}
-		if hit != 0 && b.ClearTo >= hit {
+		if hit == 0 {
+			if len(b.Witness) != 0 {
+				return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): witness without a hit", i, b.Weight)
+			}
+			continue
+		}
+		if b.ClearTo >= hit {
 			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): clear to %d contradicts hit at %d", i, b.Weight, b.ClearTo, hit)
 		}
-		if len(b.Witness) != 0 && len(b.Witness) != b.Weight {
-			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): witness has %d positions", i, b.Weight, len(b.Witness))
+		if ev == nil {
+			p, err := poly.FromKoopman(m.Width, m.Poly)
+			if err != nil {
+				return fmt.Errorf("koopmancrc: memo snapshot polynomial: %w", err)
+			}
+			ev = hamming.New(p)
+		}
+		if err := ev.VerifyWitness(b.Weight, hit+m.Width, b.Witness); err != nil {
+			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): hit at %d: %w", i, b.Weight, hit, err)
 		}
 	}
 	for i, w := range m.Weights {
@@ -267,18 +285,12 @@ func (a *Analyzer) memoSnapshotLocked() *MemoSnapshot {
 	}
 	byWeight := make(map[int]BoundMemo, len(a.bounds))
 	for w, b := range a.bounds {
-		if b.clearTo == 0 && b.hitAt == 0 && !b.exact {
+		if b.ClearTo == 0 && b.HitAt == 0 && !b.Exact {
 			continue // empty placeholder, no knowledge to export
 		}
-		byWeight[w] = BoundMemo{
-			Weight:    w,
-			ClearTo:   b.clearTo,
-			HitAt:     b.hitAt,
-			Witness:   copyPositions(b.witness),
-			First:     b.first,
-			Exact:     b.exact,
-			ElapsedNS: b.elapsed.Nanoseconds(),
-		}
+		m := *b
+		m.Witness = copyPositions(b.Witness)
+		byWeight[w] = m
 	}
 	snap.Bounds = sortedBounds(byWeight)
 	counts := make(map[[2]int]uint64, len(a.wts))
@@ -314,26 +326,11 @@ func (a *Analyzer) RestoreMemos(ctx context.Context, snap *MemoSnapshot) error {
 	return a.run(ctx, func() error {
 		for _, m := range snap.Bounds {
 			b := a.boundLocked(m.Weight)
-			merged := mergeBoundMemo(BoundMemo{
-				Weight:    m.Weight,
-				ClearTo:   b.clearTo,
-				HitAt:     b.hitAt,
-				Witness:   b.witness,
-				First:     b.first,
-				Exact:     b.exact,
-				ElapsedNS: b.elapsed.Nanoseconds(),
-			}, m)
-			b.clearTo = merged.ClearTo
-			b.hitAt = merged.HitAt
-			b.witness = copyPositions(merged.Witness)
-			b.first = merged.First
-			b.exact = merged.Exact
-			b.elapsed = time.Duration(merged.ElapsedNS)
-			if b.exact {
-				b.hitAt = b.first
-				if b.first-1 > b.clearTo {
-					b.clearTo = b.first - 1
-				}
+			*b = mergeBoundMemo(*b, m)
+			b.Witness = copyPositions(b.Witness)
+			if b.Exact {
+				b.HitAt = b.First
+				b.ClearTo = max(b.ClearTo, b.First-1)
 			}
 		}
 		for _, w := range snap.Weights {
